@@ -118,17 +118,27 @@ def connected_lower_bounds(n: int, m: int, k: int,
     ]
 
 
-def kregular_reference_bound(n: int, k: int) -> Fraction:
-    """Lower bound for a connected k-regular graph of order n."""
+def kregular_reference_pieces(k: int) -> list[tuple[Fraction, Fraction]]:
+    """Affine pieces (coeff, const) of the connected k-regular reference bound.
+
+    The bound at order n is the least ``coeff*n + const`` over the pieces;
+    even k has a second piece, the (n-1)/2 cap.
+    """
     if k < 2:
         raise ValueError(f"reference bound needs k >= 2, got {k}")
+    if k % 2 == 0:
+        return [(Fraction(k * k + 4, 2 * (k * k + k + 2)), Fraction(0)),
+                (Fraction(1, 2), Fraction(-1, 2))]
+    den = 2 * (k ** 3 - 3 * k)
+    return [(Fraction(k ** 3 - k * k - 2, den), Fraction(2 - 2 * k, den))]
+
+
+def kregular_reference_bound(n: int, k: int) -> Fraction:
+    """Lower bound for a connected k-regular graph of order n."""
+    pieces = kregular_reference_pieces(k)
     if n < k + 1:
         raise ValueError(f"no k-regular graph with n={n} < k+1={k + 1}")
-    if k % 2 == 0:
-        return min(Fraction((k * k + 4) * n, 2 * (k * k + k + 2)),
-                   Fraction(n - 1, 2))
-    return Fraction((k ** 3 - k * k - 2) * n - 2 * k + 2,
-                    2 * (k ** 3 - 3 * k))
+    return min(coeff * n + const for coeff, const in pieces)
 
 
 def subcubic_degree_bound(n1: int, n2: int, n3: int, c: int) -> Fraction:

@@ -19,7 +19,7 @@ import argparse
 
 from matchbound import __version__
 from matchbound.bounds import (BoundReport, audit_graph, format_decimal,
-                               scaled_bound_row)
+                               kregular_reference_pieces, scaled_bound_row)
 from matchbound.edgelist import (EdgeListError, emit_edge_list,
                                  parse_edge_list, to_dot)
 from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
@@ -267,27 +267,15 @@ def _build_family(args: argparse.Namespace) -> GeneratedGraph:
         if args.part2 is not None:
             part2 = [int(s) for s in args.part2.split(",")]
         else:
-            part2 = _odd_distance_class(backbone)
+            part2 = [v for v, odd in enumerate(backbone.structure.parity)
+                     if odd]
         return tree_with_gadgets(args.k, bipartite_tree(backbone, part2))
+    if args.part2 is not None:
+        raise ValueError("construct hkr takes --part2 only with --tree")
     if args.r is None:
         raise ValueError("construct hkr needs --r (or an explicit --tree)")
     return tree_with_gadgets(args.k,
                              canonical_tree(args.k, args.r, args.mode))
-
-
-def _odd_distance_class(g: Graph) -> list[int]:
-    """Vertices at odd distance from vertex 0 (one bipartition class)."""
-    if g.vertex_count == 0:
-        return []
-    dist = [-1] * g.vertex_count
-    dist[0] = 0
-    queue = [0]
-    for u in queue:
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return [v for v, d in enumerate(dist) if d > 0 and d % 2 == 1]
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -363,16 +351,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.which == "1":
         print("k,n_coeff,constant,cap_n_coeff,cap_constant")
         for k in range(3, 9):
-            # Recover the two affine pieces from the closed forms the
-            # bound is built from; sampling would work too, but this keeps
-            # the emitted row exact for every n at once.
-            if k % 2:
-                coeff = Fraction(k ** 3 - k * k - 2, 2 * (k ** 3 - 3 * k))
-                const = Fraction(-2 * k + 2, 2 * (k ** 3 - 3 * k))
-                print(f"{k},{coeff},{const},,")
-            else:
-                coeff = Fraction(k * k + 4, 2 * (k * k + k + 2))
-                print(f"{k},{coeff},0,1/2,-1/2")
+            cells = [str(x) for piece in kregular_reference_pieces(k)
+                     for x in piece]
+            print(",".join([str(k), *cells] + [""] * (4 - len(cells))))
         return 0
     print("k,scale,n_coeff,m_coeff,constant,n_coeff_dec,m_coeff_dec")
     for k in range(3, 12):

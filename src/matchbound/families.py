@@ -35,22 +35,12 @@ from matchbound.graphs import Graph, build_graph, components, degree_profile
 
 
 @dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    k: int
-    r: int | None = None
-    blocks: tuple[bool, ...] | None = None  # per block: True = gadget
-    tree: "BipartiteTree | None" = None
-
-
-@dataclass(frozen=True)
 class GeneratedGraph:
     graph: Graph
     predicted_n: int
     predicted_m: int
     predicted_alpha: int
     link_vertices: tuple[int, ...]
-    spec: FamilySpec
 
     def __post_init__(self) -> None:
         assert self.graph.vertex_count == self.predicted_n
@@ -65,9 +55,7 @@ def complete_minus_edge(k: int) -> GeneratedGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if (u, v) != (0, 1)]
     g = build_graph(n, edges)
-    spec = FamilySpec("complete_minus_edge", k)
-    return GeneratedGraph(g, n, k * (k + 1) // 2 - 1, (k + 1) // 2,
-                          (0, 1), spec)
+    return GeneratedGraph(g, n, k * (k + 1) // 2 - 1, (k + 1) // 2, (0, 1))
 
 
 def single_link_gadget(k: int) -> GeneratedGraph:
@@ -85,9 +73,7 @@ def single_link_gadget(k: int) -> GeneratedGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if (u, v) not in removed]
     g = build_graph(n, edges)
-    spec = FamilySpec("single_link_gadget", k)
-    return GeneratedGraph(g, n, (k * k + 2 * k - 1) // 2, (k + 1) // 2,
-                          (0,), spec)
+    return GeneratedGraph(g, n, (k * k + 2 * k - 1) // 2, (k + 1) // 2, (0,))
 
 
 def _parse_blocks(blocks, length: int) -> tuple[bool, ...]:
@@ -127,6 +113,7 @@ def block_chain(k: int, r: int, blocks="gadgets") -> GeneratedGraph:
     length = r * (k - 1) + 1
     flags = _parse_blocks(blocks, length)
 
+    gadget = complete_minus_edge(k).graph.edges()
     edges: list[tuple[int, int]] = []
     link_vertices: list[int] = []
     attach: list[list[int]] = []  # per block: unused attachment points
@@ -135,9 +122,7 @@ def block_chain(k: int, r: int, blocks="gadgets") -> GeneratedGraph:
         if is_gadget:
             base = next_id
             next_id += k + 1
-            edges.extend((base + u, base + v)
-                         for u in range(k + 1) for v in range(u + 1, k + 1)
-                         if (u, v) != (0, 1))
+            edges.extend((base + u, base + v) for u, v in gadget)
             link_vertices.extend((base, base + 1))
             attach.append([base, base + 1])
         else:
@@ -153,8 +138,7 @@ def block_chain(k: int, r: int, blocks="gadgets") -> GeneratedGraph:
     n = r + single_count + gadget_count * (k + 1)
     m = r * k + gadget_count * (k * (k + 1) // 2 - 1)
     alpha = r + gadget_count * k // 2
-    spec = FamilySpec("block_chain", k, r, flags)
-    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices), spec)
+    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
 
 
 @dataclass(frozen=True)
@@ -266,8 +250,7 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
     m = ((k ** 3 + k * k - k + 1) * n2 - (k * k + 2 * k - 1) * n1
          + (k * k + 2 * k - 1)) // 2
     alpha = ((k * k + 1) * n2 - (k + 1) * n1 + (k + 1)) // 2
-    spec = FamilySpec("tree_with_gadgets", k, tree=tree)
-    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices), spec)
+    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
 
 
 def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
@@ -281,6 +264,7 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
         raise ValueError(f"regular_gadget_ring needs even k >= 4, got {k}")
     if r < 1:
         raise ValueError(f"regular_gadget_ring needs r >= 1, got {r}")
+    gadget = complete_minus_edge(k).graph.edges()
     edges: list[tuple[int, int]] = []
     link_vertices: list[int] = []
     next_id = r
@@ -289,9 +273,7 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
         nonlocal next_id
         base = next_id
         next_id += k + 1
-        edges.extend((base + u, base + v)
-                     for u in range(k + 1) for v in range(u + 1, k + 1)
-                     if (u, v) != (0, 1))
+        edges.extend((base + u, base + v) for u, v in gadget)
         link_vertices.extend((base, base + 1))
         edges.append((hub_a, base))
         edges.append((hub_b, base + 1))
@@ -306,32 +288,7 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
     n = r + (k * r // 2) * (k + 1)
     m = r * k + k * r * (k * k + k - 2) // 4
     alpha = r + k * k * r // 4
-    spec = FamilySpec("regular_ring", k, r)
-    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices), spec)
-
-
-def expected_matching_number(spec: FamilySpec) -> Fraction:
-    """Closed-form predicted matching number for a family instance."""
-    k = spec.k
-    if spec.family == "complete_minus_edge":
-        return Fraction((k + 1) // 2)
-    if spec.family == "single_link_gadget":
-        return Fraction((k + 1) // 2)
-    if spec.family == "block_chain":
-        if spec.r is None or spec.blocks is None:
-            raise ValueError("block_chain spec needs r and blocks")
-        return Fraction(spec.r + sum(spec.blocks) * k // 2)
-    if spec.family == "tree_with_gadgets":
-        if spec.tree is None:
-            raise ValueError("tree_with_gadgets spec needs a tree")
-        n2 = len(spec.tree.part2)
-        n1 = spec.tree.graph.vertex_count - n2
-        return Fraction((k * k + 1) * n2 - (k + 1) * n1 + (k + 1), 2)
-    if spec.family == "regular_ring":
-        if spec.r is None:
-            raise ValueError("regular_ring spec needs r")
-        return Fraction(spec.r) + Fraction(k * k * spec.r, 4)
-    raise ValueError(f"unknown family {spec.family!r}")
+    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
 
 
 def gadget_chain_average_degree(k: int, r: int) -> Fraction:

@@ -2,14 +2,17 @@
 
 Graphs are immutable after construction: dense 0-based vertex ids, sorted
 adjacency tuples, and a per-vertex neighborhood bitmask (plain ints) that the
-masked traversals below and the exhaustive matching oracle share.
+masked flood below and the exhaustive matching oracle share. This module is
+the only one that walks a graph: a single BFS builds the cached
+:class:`Structure` that components, degrees and regularity are read from.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 
 class GraphError(ValueError):
@@ -34,6 +37,39 @@ class Graph:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.vertex_count)
                 for v in self.adjacency[u] if u < v]
+
+    @cached_property
+    def structure(self) -> Structure:
+        """Components, degrees and BFS parity, from one scan on first use."""
+        adjacency = self.adjacency
+        n = self.vertex_count
+        comp = [-1] * n
+        parity = [0] * n
+        sizes: list[int] = []
+        common: list[int | None] = []
+        counts: dict[int, int] = {}
+        for start in range(n):
+            if comp[start] != -1:
+                continue
+            idx = len(sizes)
+            comp[start] = idx
+            degree: int | None = len(adjacency[start])
+            queue = [start]
+            for v in queue:
+                d = len(adjacency[v])
+                counts[d] = counts.get(d, 0) + 1
+                if d != degree:
+                    degree = None
+                for u in adjacency[v]:
+                    if comp[u] == -1:
+                        comp[u] = idx
+                        parity[u] = parity[v] ^ 1
+                        queue.append(u)
+            sizes.append(len(queue))
+            common.append(degree)
+        return Structure(tuple(comp), tuple(sizes), tuple(common),
+                         max(counts, default=0), MappingProxyType(counts),
+                         tuple(parity))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -62,49 +98,43 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 @dataclass(frozen=True)
-class ComponentPartition:
+class Structure:
+    """Everything one BFS over a graph reveals (see :attr:`Graph.structure`).
+
+    Components are numbered in order of their lowest vertex; BFS starts at
+    that vertex and scans sorted adjacency, so every field is deterministic.
+    """
     component_of: tuple[int, ...]
     component_sizes: tuple[int, ...]
+    # the degree shared by every vertex of a component, None if they differ
+    component_degree: tuple[int | None, ...]
+    max_degree: int
+    degree_counts: Mapping[int, int]  # read-only: every caller shares it
+    # BFS depth mod 2 from the lowest vertex of the vertex's component
+    parity: tuple[int, ...]
 
     @property
     def component_count(self) -> int:
         return len(self.component_sizes)
 
 
-def components(g: Graph) -> ComponentPartition:
-    """Connected components by BFS in vertex-id order (deterministic)."""
-    comp = [-1] * g.vertex_count
-    sizes: list[int] = []
-    for start in range(g.vertex_count):
-        if comp[start] != -1:
-            continue
-        idx = len(sizes)
-        comp[start] = idx
-        size = 1
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.adjacency[v]:
-                if comp[u] == -1:
-                    comp[u] = idx
-                    size += 1
-                    queue.append(u)
-        sizes.append(size)
-    return ComponentPartition(tuple(comp), tuple(sizes))
+def components(g: Graph) -> Structure:
+    """Connected components: the shared :attr:`Graph.structure` of g."""
+    return g.structure
 
 
-def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
-    """Number of odd-order components of the graph with `deleted` removed.
+def degree_profile(g: Graph) -> Structure:
+    """Maximum degree and degree counts: the shared :attr:`Graph.structure`."""
+    return g.structure
 
-    The deleted vertices are masked during traversal; nothing is rebuilt.
+
+def odd_component_count(nbr_masks: tuple[int, ...], vertex_mask: int) -> int:
+    """Number of odd-order components of the subgraph on `vertex_mask`.
+
+    Floods one component at a time through the neighborhood bitmasks, so
+    nothing is rebuilt for a vertex subset.
     """
-    blocked = 0
-    for v in deleted:
-        if not 0 <= v < g.vertex_count:
-            raise GraphError(f"vertex {v} out of range for n={g.vertex_count}")
-        blocked |= 1 << v
-    remaining = (1 << g.vertex_count) - 1 & ~blocked
-    nbr = g.nbr_masks
+    remaining = vertex_mask
     odd = 0
     while remaining:
         seed = remaining & -remaining
@@ -116,7 +146,7 @@ def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
             while t:
                 bit = t & -t
                 t ^= bit
-                reach |= nbr[bit.bit_length() - 1]
+                reach |= nbr_masks[bit.bit_length() - 1]
             frontier = reach & remaining & ~comp
             comp |= frontier
         remaining ^= comp
@@ -124,18 +154,15 @@ def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
     return odd
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    max_degree: int
-    degree_counts: dict[int, int]
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    counts: dict[int, int] = {}
-    for v in range(g.vertex_count):
-        d = len(g.adjacency[v])
-        counts[d] = counts.get(d, 0) + 1
-    return DegreeProfile(max(counts) if counts else 0, counts)
+def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
+    """Number of odd-order components of the graph with `deleted` removed."""
+    blocked = 0
+    for v in deleted:
+        if not 0 <= v < g.vertex_count:
+            raise GraphError(f"vertex {v} out of range for n={g.vertex_count}")
+        blocked |= 1 << v
+    return odd_component_count(g.nbr_masks,
+                               (1 << g.vertex_count) - 1 & ~blocked)
 
 
 class Regularity(NamedTuple):
@@ -147,10 +174,5 @@ def is_k_regular(g: Graph, k: int) -> Regularity:
     """Whether every vertex has degree exactly k, overall and per component."""
     if k < 0:
         raise GraphError(f"degree must be non-negative, got {k}")
-    parts = components(g)
-    flags = [True] * parts.component_count
-    for v in range(g.vertex_count):
-        if len(g.adjacency[v]) != k:
-            flags[parts.component_of[v]] = False
-    per = tuple(flags)
+    per = tuple(d == k for d in components(g).component_degree)
     return Regularity(all(per), per)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from matchbound.graphs import Graph
+from matchbound.graphs import Graph, odd_component_count
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,9 @@ class TutteBergeCertificate:
 def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
     """Minimize (n + |X| - odd_components(g - X)) / 2 over all vertex sets X.
 
-    Enumerates all 2^n subsets with bitmask flooding (this loop is the hot
-    path, so the component count is inlined rather than calling
-    graphs.odd_components_after_deletion per subset). Returns the minimum —
-    which equals the matching number — together with the
+    Enumerates all 2^n subsets, counting odd components of each remainder
+    with the bitmask flood of :func:`graphs.odd_component_count`. Returns
+    the minimum — which equals the matching number — together with the
     lexicographically-least minimizing set.
     """
     n = g.vertex_count
@@ -168,23 +167,7 @@ def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
     best2 = 2 * n + 2
     best_witness: tuple[int, ...] = ()
     for x_mask in range(1 << n):
-        remaining = full & ~x_mask
-        odd = 0
-        while remaining:
-            seed = remaining & -remaining
-            comp = seed
-            frontier = seed
-            while frontier:
-                reach = 0
-                t = frontier
-                while t:
-                    bit = t & -t
-                    t ^= bit
-                    reach |= nbr[bit.bit_length() - 1]
-                frontier = reach & remaining & ~comp
-                comp |= frontier
-            remaining ^= comp
-            odd += comp.bit_count() & 1
+        odd = odd_component_count(nbr, full & ~x_mask)
         value2 = n + x_mask.bit_count() - odd
         if value2 < best2:
             best2 = value2

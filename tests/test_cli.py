@@ -122,6 +122,9 @@ def test_construct_hkr_flag_conflicts(tmp_path, capsys):
     assert code == 2 and "not both" in err
     code, _, err = invoke(capsys, "construct", "hkr", "--k", "3")
     assert code == 2 and "--r" in err
+    code, out, err = invoke(capsys, "construct", "hkr", "--k", "3",
+                            "--r", "3", "--part2", "0")
+    assert code == 2 and "--part2 only with --tree" in err and out == ""
 
 
 def test_construct_dot_output(capsys):

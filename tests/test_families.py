@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from matchbound.families import (bipartite_tree, block_chain, canonical_tree,
-                                 complete_minus_edge, expected_matching_number,
+                                 complete_minus_edge,
                                  gadget_chain_average_degree,
                                  gadget_chain_average_degree_limit,
                                  regular_gadget_ring, single_link_gadget,
@@ -207,14 +207,6 @@ def test_regular_gadget_ring_rejects_odd_k():
 
 
 # --- predicted values ----------------------------------------------------
-
-def test_expected_matching_number_agrees_with_generators():
-    for gg in (block_chain(4, 2, "gssgsgs"), block_chain(4, 2, "gadgets"),
-               regular_gadget_ring(4, 2), complete_minus_edge(5),
-               single_link_gadget(5),
-               tree_with_gadgets(3, reference_tree())):
-        assert expected_matching_number(gg.spec) == gg.predicted_alpha
-
 
 def test_average_degree_of_gadget_chains():
     assert gadget_chain_average_degree(4, 1) == F(80, 21)

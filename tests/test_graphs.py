@@ -99,3 +99,49 @@ def test_odd_component_count_matches_partition(g):
     assert odd_components_after_deletion(g, []) == odd
     # deleting everything leaves nothing
     assert odd_components_after_deletion(g, range(g.vertex_count)) == 0
+
+
+@given(small_graphs())
+def test_structure_matches_a_plain_recomputation(g):
+    n = g.vertex_count
+    # reachable sets by repeated expansion; components ordered by lowest vertex
+    reach = []
+    for v in range(n):
+        seen = {v}
+        grown = True
+        while grown:
+            more = {u for w in seen for u in g.adjacency[w]} - seen
+            seen |= more
+            grown = bool(more)
+        reach.append(seen)
+    lows = sorted({min(r) for r in reach})
+    s = g.structure
+    assert s.component_of == tuple(lows.index(min(reach[v])) for v in range(n))
+    assert s.component_sizes == tuple(len(reach[low]) for low in lows)
+    for k in range(5):
+        expected = tuple(all(g.degree(v) == k for v in reach[low])
+                         for low in lows)
+        assert is_k_regular(g, k).per_component == expected
+    degrees = [g.degree(v) for v in range(n)]
+    assert dict(s.degree_counts) == {d: degrees.count(d) for d in degrees}
+    assert s.max_degree == max(degrees, default=0)
+    # parity of the distance from the lowest vertex of each component
+    for low in lows:
+        dist = {low: 0}
+        queue = [low]
+        for w in queue:
+            for u in g.adjacency[w]:
+                if u not in dist:
+                    dist[u] = dist[w] + 1
+                    queue.append(u)
+        for v, d in dist.items():
+            assert s.parity[v] == d % 2
+
+
+def test_structure_is_shared_and_read_only():
+    g = build_graph(4, [(0, 1), (1, 2)])
+    assert components(g) is degree_profile(g) is g.structure
+    assert components(g) is components(g)
+    with pytest.raises(TypeError):
+        degree_profile(g).degree_counts[1] = 5
+    assert degree_profile(g).degree_counts == {1: 2, 2: 1, 0: 1}
