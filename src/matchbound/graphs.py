@@ -1,15 +1,16 @@
 """Undirected simple graphs and the structural queries everything else uses.
 
-Graphs are immutable after construction: dense 0-based vertex ids, sorted
-adjacency tuples, and a per-vertex neighborhood bitmask (plain ints) that the
-masked flood below and the exhaustive matching oracle share. This module is
+Graphs are immutable after construction: dense 0-based vertex ids and sorted
+adjacency tuples, O(n + m) in all. The per-vertex neighborhood bitmasks
+(plain ints) that the masked flood below and the exhaustive matching oracle
+share take O(n^2) bits, so they are built on first use. This module is
 the only one that walks a graph: a single BFS builds the cached
 :class:`Structure` that components, degrees and regularity are read from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -24,14 +25,18 @@ class Graph:
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
     edge_count: int
-    # neighborhood bitmasks, nbr_masks[v] has bit u set iff {u,v} is an edge
-    nbr_masks: tuple[int, ...] = field(repr=False)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.nbr_masks[u] >> v & 1)
+        return v in self.adjacency[u]
+
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        """Neighborhood bitmasks: bit u of nbr_masks[v] is set iff {u,v} is
+        an edge. Built on first use; only the oracle-sized callers need it."""
+        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -93,8 +98,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
         m += 1
-    masks = tuple(sum(1 << u for u in s) for s in adj)
-    return Graph(n, tuple(tuple(sorted(s)) for s in adj), m, masks)
+    return Graph(n, tuple(tuple(sorted(s)) for s in adj), m)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from matchbound.families import (bipartite_tree, block_chain,
                                  regular_gadget_ring, tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, random_connected_bounded, run_fuzz
 from matchbound.graphs import build_graph, components, is_k_regular
-from matchbound.matching import maximum_matching, tutte_berge
+from matchbound.matching import maximum_matching, tutte_berge, verify_matching
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces, tight_family_for,
                                transform_good_pair)
@@ -61,6 +61,16 @@ def test_matching_agrees_with_exhaustive_oracle_on_5000_graphs():
         checked += 1
     assert checked == 5000
     assert time.monotonic() - start < 60
+
+
+def test_matching_solves_extremal_families_at_100k_vertices():
+    start = time.monotonic()
+    for gg in (block_chain(4, 6250), regular_gadget_ring(6, 4500)):
+        assert gg.graph.vertex_count >= 99_000
+        m = maximum_matching(gg.graph)
+        assert m.size == gg.predicted_alpha
+        assert verify_matching(gg.graph, m)
+    assert time.monotonic() - start < 15
 
 
 def test_mixed_block_chain_reproduces_the_reference_instance():

@@ -3,8 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchbound.fuzz import (FuzzConfig, FuzzOutcome, FuzzViolation, _mix,
-                             random_connected_bounded, run_fuzz)
+from matchbound.fuzz import (FuzzConfig, FuzzOutcome, FuzzViolation,
+                             _drop_non_bridge, _mix, random_connected_bounded,
+                             run_fuzz)
 from matchbound.graphs import build_graph, components, degree_profile, is_k_regular
 
 
@@ -45,6 +46,18 @@ def test_forbid_regular_strips_one_edge():
         assert components(stripped).component_count == 1
         assert stripped.edge_count == free.edge_count - 1
     assert hits > 0  # K4 does come up at n=4, k=3
+
+
+def test_drop_non_bridge_keeps_a_leading_bridge():
+    # two K4s, each with one edge subdivided, joined by {0, 1}: a bridge
+    # that comes first in sorted order, so the next edge, {0, 2}, is dropped
+    g = build_graph(10, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5), (3, 4),
+                         (3, 5), (4, 5), (1, 6), (1, 7), (6, 8), (6, 9),
+                         (7, 8), (7, 9), (8, 9)])
+    assert is_k_regular(g, 3).overall
+    trimmed = _drop_non_bridge(g)
+    assert set(g.edges()) - set(trimmed.edges()) == {(0, 2)}
+    assert components(trimmed).component_count == 1
 
 
 def test_infeasible_requests():

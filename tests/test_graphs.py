@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from matchbound.graphs import (GraphError, build_graph, components,
                                degree_profile, is_k_regular,
                                odd_components_after_deletion)
+from matchbound.matching import maximum_matching, verify_matching
 
 
 def test_build_rejects_out_of_range():
@@ -27,6 +28,15 @@ def test_adjacency_is_sorted_and_symmetric():
     assert g.edges() == [(0, 1), (0, 3), (2, 3)]
     assert g.has_edge(3, 0) and not g.has_edge(1, 2)
     assert g.degree(3) == 2
+
+
+def test_neighborhood_masks_are_built_on_first_use():
+    g = build_graph(4, [(2, 3), (0, 3), (0, 1)])
+    assert verify_matching(g, maximum_matching(g))
+    components(g)
+    assert "nbr_masks" not in vars(g)  # adjacency alone: O(n + m) memory
+    assert g.nbr_masks == (0b1010, 0b0001, 0b1000, 0b0101)
+    assert g.nbr_masks is g.nbr_masks
 
 
 def test_components_partition():

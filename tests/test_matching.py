@@ -1,8 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
-from matchbound.families import block_chain
+from matchbound.cli import run_cli
+from matchbound.edgelist import emit_edge_list
+from matchbound.families import (block_chain, canonical_tree,
+                                 regular_gadget_ring, tree_with_gadgets)
+from matchbound.fuzz import random_connected_bounded
 from matchbound.graphs import build_graph
 from matchbound.matching import (Matching, OracleSizeError, maximum_matching,
                                  tutte_berge, verify_matching)
@@ -120,9 +125,93 @@ def test_oracle_agrees_with_blossom_on_random_graphs():
         assert maximum_matching(g).size == tutte_berge(g).value
 
 
+def greedy_size(g):
+    """Size of the greedy start: each vertex, in id order, takes its lowest
+    free neighbor."""
+    mate = [-1] * g.vertex_count
+    for v in range(g.vertex_count):
+        if mate[v] == -1:
+            for u in g.adjacency[v]:
+                if mate[u] == -1:
+                    mate[v], mate[u] = u, v
+                    break
+    return sum(1 for v, u in enumerate(mate) if v < u)
+
+
+def test_oracle_agrees_with_blossom_after_failed_searches():
+    # Vertices 0, 1 hang off hub a and 2, 3 off hub b of a seeded connected
+    # core. The greedy start matches 0-a and 2-b, so the searches from 1 and
+    # 3 run first and fail, leaving their trees dead; a graph is kept only
+    # when a later search succeeds, i.e. the greedy start is not maximum.
+    rng = random.Random(61129)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(11, 13)
+        k = rng.randint(3, 6)
+        core = random_connected_bounded(rng.getrandbits(64), n - 4, k)
+        hubs = [v + 4 for v in range(n - 4) if core.degree(v) <= k - 2]
+        if len(hubs) < 2:
+            continue
+        a, b = rng.sample(hubs, 2)
+        g = build_graph(n, [(u + 4, v + 4) for u, v in core.edges()]
+                        + [(0, a), (1, a), (2, b), (3, b)])
+        m = maximum_matching(g)
+        if m.size == greedy_size(g):
+            continue
+        covered = {v for e in m.edges for v in e}
+        assert 1 not in covered and 3 not in covered
+        assert verify_matching(g, m)
+        assert m.size == tutte_berge(g).value
+        checked += 1
+
+
 def test_oracle_on_the_large_chain_instance():
     # the 21-vertex mixed chain: full 2^21 enumeration, a few seconds
     gg = block_chain(4, 2, "gssgsgs")
     cert = tutte_berge(gg.graph, max_n=22)
     assert cert.value == 8
     assert cert.witness == (0, 1)  # exactly the two connectors
+
+
+# SHA-256 of the concatenated `matching` stdout over GOLDEN_FAMILY and the
+# 500 seeded samples below, recorded before the pruned blossom search
+# replaced the O(V^3) one: the witness must stay byte-identical.
+GOLDEN_DIGEST = ("3558d638a7ae003a9e44e9b59815e03f"
+                 "b4d2cb61d92e4fd7c8e2262d719440ce")
+
+GOLDEN_FAMILY = (
+    lambda: block_chain(4, 6),
+    lambda: block_chain(4, 60),
+    lambda: block_chain(4, 100, "singles"),
+    lambda: block_chain(4, 30, "gs" * 45 + "g"),
+    lambda: block_chain(6, 20),
+    lambda: block_chain(6, 30, "gss" * 50 + "g"),
+    lambda: regular_gadget_ring(4, 9),
+    lambda: regular_gadget_ring(4, 90),
+    lambda: regular_gadget_ring(6, 20),
+    lambda: tree_with_gadgets(3, canonical_tree(3, 33, "tree")),
+    lambda: tree_with_gadgets(3, canonical_tree(3, 300, "tree")),
+    lambda: tree_with_gadgets(3, canonical_tree(3, 21, "regular")),
+    lambda: tree_with_gadgets(5, canonical_tree(5, 20, "tree")),
+    lambda: tree_with_gadgets(5, canonical_tree(5, 17, "regular")),
+)
+
+
+def test_matching_stdout_is_byte_identical_to_the_recorded_digest(
+        tmp_path, capsys):
+    graphs = [make().graph for make in GOLDEN_FAMILY]
+    assert min(g.vertex_count for g in graphs) >= 90
+    assert max(g.vertex_count for g in graphs) <= 1000
+    rng = random.Random(40213)
+    for i in range(500):
+        n = rng.randint(2, 60)
+        k = rng.randint(3, 6)
+        graphs.append(random_connected_bounded(rng.getrandbits(64), n, k,
+                                               forbid_regular=i % 2 == 1))
+    digest = hashlib.sha256()
+    path = tmp_path / "g.el"
+    for g in graphs:
+        path.write_text(emit_edge_list(g))
+        assert run_cli(["matching", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
