@@ -28,12 +28,9 @@ from matchbound.matching import maximum_matching
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    k: int
     epsilon: Fraction | None
     a: Fraction
     b: Fraction
-    parity: str  # "even" | "odd"
-    variant: str  # "general" | "density"
 
 
 def general_coefficients(k: int) -> CoefficientSet:
@@ -50,8 +47,7 @@ def general_coefficients(k: int) -> CoefficientSet:
         eps = Fraction(2 * k - 2, k * (k * k - 3))
     a = eps / 2
     b = Fraction(2 - k * eps, 2 * k)
-    return CoefficientSet(k, eps, a, b, "even" if k % 2 == 0 else "odd",
-                          "general")
+    return CoefficientSet(eps, a, b)
 
 
 def density_coefficients(k: int) -> CoefficientSet:
@@ -59,8 +55,7 @@ def density_coefficients(k: int) -> CoefficientSet:
     if k < 2 or k % 2:
         raise ValueError(f"density coefficients need even k >= 2, got {k}")
     den = k * k + k + 2
-    return CoefficientSet(k, None, Fraction(k - 2, den), Fraction(k + 2, den),
-                          "even", "density")
+    return CoefficientSet(None, Fraction(k - 2, den), Fraction(k + 2, den))
 
 
 def lower_bound_general(n: int, m: int, c: int, k: int) -> Fraction:
@@ -91,11 +86,10 @@ def connected_lower_bounds(n: int, m: int, k: int,
         if regular_n != n or 2 * m != n * k:
             raise ValueError(
                 f"regular_n={regular_n} inconsistent with n={n}, m={m}, k={k}")
+    cs = general_coefficients(k)
     if k % 2:
-        cs = general_coefficients(k)
         return [("connected_odd", cs.a * n + cs.b * m - cs.a)]
 
-    cs = general_coefficients(k)
     strong_const = Fraction(1, k * (k + 1))
     if regular_n == k + 1:
         strong_const = Fraction(1, k)
@@ -121,23 +115,23 @@ def connected_lower_bounds(n: int, m: int, k: int,
 def kregular_reference_pieces(k: int) -> list[tuple[Fraction, Fraction]]:
     """Affine pieces (coeff, const) of the connected k-regular reference bound.
 
-    The bound at order n is the least ``coeff*n + const`` over the pieces;
-    even k has a second piece, the (n-1)/2 cap.
+    The bound at order n is the least ``coeff*n + const`` over the pieces:
+    the connected bound at m = k*n/2 and, for even k, the (n-1)/2 cap.
     """
-    if k < 2:
-        raise ValueError(f"reference bound needs k >= 2, got {k}")
     if k % 2 == 0:
-        return [(Fraction(k * k + 4, 2 * (k * k + k + 2)), Fraction(0)),
+        ds = density_coefficients(k)
+        return [(ds.b * k / 2 - ds.a, Fraction(0)),
                 (Fraction(1, 2), Fraction(-1, 2))]
-    den = 2 * (k ** 3 - 3 * k)
-    return [(Fraction(k ** 3 - k * k - 2, den), Fraction(2 - 2 * k, den))]
+    cs = general_coefficients(k)
+    return [(cs.a + cs.b * k / 2, -cs.a)]
 
 
 def kregular_reference_bound(n: int, k: int) -> Fraction:
     """Lower bound for a connected k-regular graph of order n."""
     pieces = kregular_reference_pieces(k)
-    if n < k + 1:
-        raise ValueError(f"no k-regular graph with n={n} < k+1={k + 1}")
+    if n < k + 1 or n * k % 2:
+        raise ValueError(f"no k-regular graph has n={n} vertices "
+                         f"(needs n >= {k + 1} and n*k even)")
     return min(coeff * n + const for coeff, const in pieces)
 
 
@@ -248,10 +242,7 @@ def audit_graph(g: Graph, k: int) -> BoundReport:
         for name, value in connected_lower_bounds(n, m, k, regular_n):
             add(name, value)
     else:
-        names = (["connected_odd"] if k % 2 else
-                 ["connected_even", "connected_even_weak",
-                  "connected_even_density"])
-        for name in names:
+        for name, _ in connected_lower_bounds(n, m, k):
             skip(name, "graph is not connected")
 
     if connected and reg.overall:

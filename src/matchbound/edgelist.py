@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from matchbound.graphs import Graph, GraphError, build_graph
 
+# Largest n a header may declare: building a graph peaks at about 233 bytes
+# per vertex even without edges, so this caps one parse at about 2.3 GB.
+MAX_VERTICES = 10 ** 7
+
 
 class EdgeListError(ValueError):
     """A malformed edge-list document."""
@@ -35,6 +39,9 @@ def parse_edge_list(text: str) -> Graph:
             f"line {lineno}: header must be two integers") from None
     if n < 0 or m < 0:
         raise EdgeListError(f"line {lineno}: header values must be >= 0")
+    if n > MAX_VERTICES:
+        raise EdgeListError(f"line {lineno}: n={n} exceeds the limit of "
+                            f"{MAX_VERTICES} vertices")
 
     body_rows = rows[1:]
     if len(body_rows) != m:

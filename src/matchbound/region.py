@@ -4,11 +4,12 @@ A pair (gamma, beta) is *good* for k if alpha'(G) >= gamma*n + beta*m - K
 holds with some constant K over all connected graphs with maximum degree at
 most k. The good set is the intersection of closed half-spaces of the form
 beta <= slope*gamma + intercept: two of them for odd k, three for even k.
-It has one extreme point for odd k and two for even k.
+The paper's bounds describe this set completely, so it is read from their
+coefficients in :mod:`matchbound.bounds`: each cap passes through one of
+its extreme points, the bounds' own coefficient pairs.
 
 Coordinates are exact rationals throughout; a point is a (gamma, beta)
-tuple of Fractions. (The same pairs are written (a, b) in the transform
-rules below — the aliasing is historical and harmless.)
+tuple of Fractions, written (a, b) in the transform rules below.
 
 Two classifiers are provided: :func:`classify_pair` implements the
 piecewise case analysis, :func:`classify_pair_geometric` just checks every
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from matchbound.bounds import density_coefficients, general_coefficients
 from matchbound.families import (GeneratedGraph, block_chain, canonical_tree,
                                  regular_gadget_ring, tree_with_gadgets)
 
@@ -49,31 +51,31 @@ def half_spaces(k: int) -> list[HalfSpace]:
 
     Odd k: [unit-slope cap, regular-density cap]. Even k: [unit-slope cap,
     regular-density cap, the connecting cap between the two extreme points].
+    A cap of slope -n/m keeps the bound fixed, up to a constant, on graphs
+    with that ratio: slope -1 for trees (m = n - 1) through the first extreme
+    point, and -2/k for k-regular graphs (m = k*n/2) through the last one.
     """
-    if k < 3:
-        raise ValueError(f"half_spaces needs k >= 3, got {k}")
-    cap1 = HalfSpace(Fraction(-1), Fraction(1, k))
-    if k % 2:
-        cap2 = HalfSpace(Fraction(-2, k),
-                         Fraction(k ** 3 - k * k - 2, k * k * (k * k - 3)))
-        return [cap1, cap2]
-    cap3 = HalfSpace(Fraction(-2, k),
-                     Fraction(k * k + 4, k * (k * k + k + 2)))
-    cap4 = HalfSpace(Fraction(-2 * k * k, k ** 3 - k + 2),
-                     Fraction(k * k - k + 2, k ** 3 - k + 2))
-    return [cap1, cap3, cap4]
+    points = extreme_points(k)
+    through = [(points[0], Fraction(-1)), (points[-1], Fraction(-2, k))]
+    if len(points) == 2:
+        (g1, b1), (g2, b2) = points
+        through.append((points[0], (b1 - b2) / (g1 - g2)))
+    return [HalfSpace(slope, beta - slope * gamma)
+            for (gamma, beta), slope in through]
 
 
 def extreme_points(k: int) -> list[Point]:
-    """One extreme point for odd k, two for even k (larger gamma first)."""
+    """The general pair (a, b), where the tree cap (m = n - 1) ends; for even
+    k also the density pair as (-a, b), where the k-regular cap (m = k*n/2)
+    ends. Larger gamma first.
+    """
     if k < 3:
         raise ValueError(f"extreme_points needs k >= 3, got {k}")
+    cs = general_coefficients(k)
     if k % 2:
-        den = k * (k * k - 3)
-        return [(Fraction(k - 1, den), Fraction(k * k - k - 2, den))]
-    den = k * k + k + 2
-    return [(Fraction(1, k * (k + 1)), Fraction(1, k + 1)),
-            (Fraction(-(k - 2), den), Fraction(k + 2, den))]
+        return [(cs.a, cs.b)]
+    ds = density_coefficients(k)
+    return [(cs.a, cs.b), (-ds.a, ds.b)]
 
 
 def intersect_boundaries(h1: HalfSpace, h2: HalfSpace) -> Point:

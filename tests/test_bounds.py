@@ -126,6 +126,8 @@ def test_kregular_reference_bound():
         kregular_reference_bound(4, 4)  # needs n >= k+1
     with pytest.raises(ValueError):
         kregular_reference_bound(3, 1)
+    with pytest.raises(ValueError):
+        kregular_reference_bound(5, 3)  # no cubic graph has odd order
 
 
 def test_subcubic_degree_bound():

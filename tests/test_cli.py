@@ -1,6 +1,13 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from matchbound import edgelist
 from matchbound.cli import run_cli
+from matchbound.edgelist import MAX_VERTICES, EdgeListError, parse_edge_list
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -201,6 +208,49 @@ def test_usage_errors(tmp_path, capsys):
     bad = write_graph(tmp_path, "bad.el", "2 9\n0 1\n")
     code, _, err = invoke(capsys, "matching", bad)
     assert code == 2 and "promises" in err
+
+
+def test_oversized_header_is_rejected_before_building(
+        tmp_path, capsys, monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError(f"build_graph reached with n={n}")
+
+    monkeypatch.setattr(edgelist, "build_graph", refuse)
+    path = write_graph(tmp_path, "huge.el", "1000000000 0\n")
+    code, out, err = invoke(capsys, "matching", path)
+    assert code == 2 and out == ""
+    assert f"exceeds the limit of {MAX_VERTICES} vertices" in err
+    with pytest.raises(EdgeListError):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
+
+
+def readme_examples():
+    """Map each `$ ...` line of the README to the lines shown under it."""
+    examples = {}
+    command = None
+    for line in README.read_text().splitlines():
+        if line.startswith("$ "):
+            command = line[2:]
+            examples[command] = []
+        elif line.startswith("```"):
+            command = None
+        elif command is not None:
+            examples[command].append(line)
+    return examples
+
+
+def test_readme_examples_match_the_cli_output(capsys):
+    examples = readme_examples()
+    for command in ("region --k 4", "region --k 4 --point -1/11,3/11",
+                    "tables --which 1", "tables --which 2"):
+        shown = examples["matchbound " + command]
+        code, out, _ = invoke(capsys, *command.split())
+        assert code == 0
+        printed = out.splitlines()
+        if shown[-1] == "...":  # the README shows only the first rows
+            shown = shown[:-1]
+            printed = printed[:len(shown)]
+        assert printed == shown, command
 
 
 def test_version_flag(capsys):

@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from matchbound.cli import run_cli
 from matchbound.matching import maximum_matching
 from matchbound.region import (HalfSpace, classify_pair,
                                classify_pair_geometric, extreme_points,
@@ -198,3 +200,28 @@ def test_polygon_svg_shape():
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polygon") == 1
     assert svg.count("<line") == 2  # both axes cross the default box
+
+
+# SHA-256 of `region --k K` stdout for K = 3..20 followed by `tables --which 1`
+# and `tables --which 2` stdout, and of the bytes of `region --k 4 --polygon
+# ... --svg ...` (CSV then SVG), recorded while every cap and table entry
+# was still written as its own closed form in k.
+GOLDEN_STDOUT = ("ebb98679bbdfc717681be61067d826a3"
+                 "376436a51d56b009c6998b477129f03a")
+GOLDEN_POLYGON = ("7974783deb4c7b29261fa3c80d6583d0"
+                  "5ea5ede2415069841133d3151d72c82b")
+
+
+def test_region_and_table_output_matches_the_recorded_digests(
+        tmp_path, capsys):
+    stdout = hashlib.sha256()
+    for argv in ([["region", "--k", str(k)] for k in range(3, 21)]
+                 + [["tables", "--which", "1"], ["tables", "--which", "2"]]):
+        assert run_cli(argv) == 0
+        stdout.update(capsys.readouterr().out.encode())
+    assert stdout.hexdigest() == GOLDEN_STDOUT
+    csv_path, svg_path = tmp_path / "poly.csv", tmp_path / "poly.svg"
+    assert run_cli(["region", "--k", "4", "--polygon", str(csv_path),
+                    "--svg", str(svg_path)]) == 0
+    polygon = hashlib.sha256(csv_path.read_bytes() + svg_path.read_bytes())
+    assert polygon.hexdigest() == GOLDEN_POLYGON
