@@ -8,11 +8,13 @@ There are two coefficient families for graphs of maximum degree at most k:
   hypothesis (k*b - a = 1), stronger on dense graphs.
 
 For connected graphs the additive constants improve, with exceptional
-constants for k-regular graphs of a few small orders. Connected k-regular
-graphs additionally have a reference bound in n alone, and subcubic graphs
-a bound from the degree counts. :func:`audit_graph` evaluates everything
-that applies to a given graph and reports the slack of each bound against
-the true matching number.
+constants for k-regular graphs of a few small orders. Every bound assumes
+maximum degree at most k, so a graph is k-regular exactly when 2m = kn,
+and regularity is read from that identity rather than passed in.
+Connected k-regular graphs additionally have a reference bound in n
+alone, and subcubic graphs a bound from the degree counts.
+:func:`audit_graph` evaluates everything that applies to a given graph
+and reports the slack of each bound against the true matching number.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from matchbound.matching import maximum_matching
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    epsilon: Fraction | None
     a: Fraction
     b: Fraction
 
@@ -36,8 +37,8 @@ class CoefficientSet:
 def general_coefficients(k: int) -> CoefficientSet:
     """The (a, b) pair of the component-penalized bound a*(n-c) + b*m.
 
-    Defined through epsilon: a = epsilon/2 and b = (2 - k*epsilon)/(2k),
-    so a + b = 1/k always holds.
+    Defined through epsilon = 2a: a = epsilon/2 and
+    b = (2 - k*epsilon)/(2k), so a + b = 1/k always holds.
     """
     if k < 3:
         raise ValueError(f"general coefficients need k >= 3, got {k}")
@@ -45,9 +46,7 @@ def general_coefficients(k: int) -> CoefficientSet:
         eps = Fraction(2, k * (k + 1))
     else:
         eps = Fraction(2 * k - 2, k * (k * k - 3))
-    a = eps / 2
-    b = Fraction(2 - k * eps, 2 * k)
-    return CoefficientSet(eps, a, b)
+    return CoefficientSet(eps / 2, Fraction(2 - k * eps, 2 * k))
 
 
 def density_coefficients(k: int) -> CoefficientSet:
@@ -55,7 +54,7 @@ def density_coefficients(k: int) -> CoefficientSet:
     if k < 2 or k % 2:
         raise ValueError(f"density coefficients need even k >= 2, got {k}")
     den = k * k + k + 2
-    return CoefficientSet(None, Fraction(k - 2, den), Fraction(k + 2, den))
+    return CoefficientSet(Fraction(k - 2, den), Fraction(k + 2, den))
 
 
 def lower_bound_general(n: int, m: int, c: int, k: int) -> Fraction:
@@ -70,22 +69,18 @@ def lower_bound_density(n: int, m: int, k: int) -> Fraction:
     return cs.b * m - cs.a * n
 
 
-def connected_lower_bounds(n: int, m: int, k: int,
-                           regular_n: int | None = None
+def connected_lower_bounds(n: int, m: int, k: int
                            ) -> list[tuple[str, Fraction]]:
     """The improved bounds for a connected graph, as (name, value) pairs.
 
-    ``regular_n`` must be passed (= n) iff the graph is k-regular; the
-    handful of small regular orders swap in weaker additive constants.
-    Odd k yields one bound, even k three (the strong constant, the weak
-    constant that needs no exceptions, and the density form).
+    A k-regular graph (2m = kn) of one of a handful of small orders gets
+    weaker additive constants. Odd k yields one bound, even k three (the
+    strong constant, the weak constant that needs no exceptions, and the
+    density form).
     """
     if k < 3:
         raise ValueError(f"connected bounds need k >= 3, got {k}")
-    if regular_n is not None:
-        if regular_n != n or 2 * m != n * k:
-            raise ValueError(
-                f"regular_n={regular_n} inconsistent with n={n}, m={m}, k={k}")
+    regular_n = n if 2 * m == n * k else None
     cs = general_coefficients(k)
     if k % 2:
         return [("connected_odd", cs.a * n + cs.b * m - cs.a)]
@@ -153,29 +148,31 @@ def scaled_bound_row(k: int) -> tuple[int, int, int, int]:
     return d, int(a_scaled), int(b_scaled), int(a_scaled)
 
 
-def format_decimal(x: Fraction, places: int = 5) -> str:
-    """Round-half-even decimal string with a fixed number of places."""
-    q = Decimal(1).scaleb(-places)
+def format_decimal(x: Fraction) -> str:
+    """Round-half-even decimal string with five places."""
     d = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
-        q, rounding=ROUND_HALF_EVEN)
+        Decimal("0.00001"), rounding=ROUND_HALF_EVEN)
     return str(d)
 
 
 @dataclass(frozen=True)
 class BoundEntry:
     name: str
-    applicable: bool
     reason: str  # why not applicable; empty when applicable
     value: Fraction | None
     slack: Fraction | None
 
     @property
+    def applicable(self) -> bool:
+        return self.value is not None
+
+    @property
     def tight(self) -> bool:
-        return self.applicable and self.slack == 0
+        return self.slack == 0
 
     @property
     def violated(self) -> bool:
-        return self.applicable and self.slack is not None and self.slack < 0
+        return self.slack is not None and self.slack < 0
 
 
 @dataclass(frozen=True)
@@ -219,10 +216,10 @@ def audit_graph(g: Graph, k: int) -> BoundReport:
     entries: list[BoundEntry] = []
 
     def add(name: str, value: Fraction) -> None:
-        entries.append(BoundEntry(name, True, "", value, alpha - value))
+        entries.append(BoundEntry(name, "", value, alpha - value))
 
     def skip(name: str, reason: str) -> None:
-        entries.append(BoundEntry(name, False, reason, None, None))
+        entries.append(BoundEntry(name, reason, None, None))
 
     no_regular = not has_regular_component
     if no_regular and n >= 1:
@@ -237,12 +234,10 @@ def audit_graph(g: Graph, k: int) -> BoundReport:
         else:
             skip("density", "k-regular component present")
 
-    if connected:
-        regular_n = n if reg.overall else None
-        for name, value in connected_lower_bounds(n, m, k, regular_n):
+    for name, value in connected_lower_bounds(n, m, k):
+        if connected:
             add(name, value)
-    else:
-        for name, _ in connected_lower_bounds(n, m, k):
+        else:
             skip(name, "graph is not connected")
 
     if connected and reg.overall:

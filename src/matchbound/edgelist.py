@@ -68,7 +68,9 @@ def parse_edge_list(text: str) -> Graph:
     try:
         return build_graph(n, edges)
     except GraphError as exc:
-        raise EdgeListError(str(exc)) from None
+        # every pair passed the checks above, so the error names one pair
+        raise EdgeListError(
+            f"line {body_rows[exc.index][0]}: {exc}") from None
 
 
 def emit_edge_list(g: Graph) -> str:

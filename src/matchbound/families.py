@@ -76,30 +76,22 @@ def single_link_gadget(k: int) -> GeneratedGraph:
     return GeneratedGraph(g, n, (k * k + 2 * k - 1) // 2, (k + 1) // 2, (0,))
 
 
-def _parse_blocks(blocks, length: int) -> tuple[bool, ...]:
-    if isinstance(blocks, str):
-        if blocks == "gadgets":
-            return (True,) * length
-        if blocks == "singles":
-            return (False,) * length
-        flags = []
-        for ch in blocks:
-            if ch in "g1":
-                flags.append(True)
-            elif ch in "s0":
-                flags.append(False)
-            else:
-                raise ValueError(
-                    f"block pattern may contain g/s (or 1/0), got {ch!r}")
-        blocks = flags
-    out = tuple(bool(b) for b in blocks)
-    if len(out) != length:
+def _parse_blocks(blocks: str, length: int) -> tuple[bool, ...]:
+    if blocks == "gadgets":
+        return (True,) * length
+    if blocks == "singles":
+        return (False,) * length
+    for ch in blocks:
+        if ch not in "gs10":
+            raise ValueError(
+                f"block pattern may contain g/s (or 1/0), got {ch!r}")
+    if len(blocks) != length:
         raise ValueError(
-            f"need {length} block choices (r*(k-1)+1), got {len(out)}")
-    return out
+            f"need {length} block choices (r*(k-1)+1), got {len(blocks)}")
+    return tuple(ch in "g1" for ch in blocks)
 
 
-def block_chain(k: int, r: int, blocks="gadgets") -> GeneratedGraph:
+def block_chain(k: int, r: int, blocks: str = "gadgets") -> GeneratedGraph:
     """Chain of r*(k-1)+1 blocks on r connector vertices (even k >= 4).
 
     Connector i is joined to blocks i*(k-1) .. i*(k-1)+k-1, so consecutive

@@ -17,7 +17,15 @@ from typing import Iterable, Mapping, NamedTuple
 
 
 class GraphError(ValueError):
-    """Raised for malformed graph input (loops, duplicates, bad ids)."""
+    """Raised for malformed graph input (loops, duplicates, bad ids).
+
+    ``index`` is the position of the offending pair in the edge input, or
+    None when no single pair is at fault.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -81,20 +89,20 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph on vertices 0..n-1 from unordered pairs.
 
     Rejects loops, duplicate pairs (in either orientation) and out-of-range
-    ids, naming the offending pair in the error.
+    ids, naming the offending pair and its position in the error.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
     adj: list[set[int]] = [set() for _ in range(n)]
     m = 0
-    for pair in edges:
-        u, v = pair
+    for u, v in edges:
+        # m pairs were accepted so far, so m is this pair's position
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}", m)
         if u == v:
-            raise GraphError(f"loop edge ({u}, {v}) not allowed")
+            raise GraphError(f"loop edge ({u}, {v}) not allowed", m)
         if v in adj[u]:
-            raise GraphError(f"duplicate edge ({u}, {v})")
+            raise GraphError(f"duplicate edge ({u}, {v})", m)
         adj[u].add(v)
         adj[v].add(u)
         m += 1

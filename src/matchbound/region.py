@@ -249,9 +249,9 @@ def _cross(p: Point, q: Point, cap: HalfSpace) -> Point:
 
 
 def polygon_svg(points: list[Point],
-                bbox: tuple[Fraction, Fraction, Fraction, Fraction],
-                width: int = 480) -> str:
-    """A minimal SVG rendering: the filled region polygon plus axis lines."""
+                bbox: tuple[Fraction, Fraction, Fraction, Fraction]) -> str:
+    """A minimal 480-wide SVG: the filled region polygon plus axis lines."""
+    width = 480
     gmin, gmax, bmin, bmax = (Fraction(x) for x in bbox)
     span_g = gmax - gmin
     span_b = bmax - bmin

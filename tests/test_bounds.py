@@ -1,12 +1,19 @@
+import hashlib
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
-from matchbound.bounds import (audit_graph, connected_lower_bounds,
-                               density_coefficients, format_decimal,
-                               general_coefficients, kregular_reference_bound,
+from matchbound.bounds import (BoundEntry, CoefficientSet, audit_graph,
+                               connected_lower_bounds, density_coefficients,
+                               format_decimal, general_coefficients,
+                               kregular_reference_bound,
                                lower_bound_density, lower_bound_general,
                                scaled_bound_row, subcubic_degree_bound)
+from matchbound.cli import run_cli
+from matchbound.edgelist import emit_edge_list
+from matchbound.families import (block_chain, canonical_tree,
+                                 regular_gadget_ring, tree_with_gadgets)
 from matchbound.graphs import build_graph
 
 
@@ -48,9 +55,9 @@ def test_general_coefficients_epsilon_form():
     for k in range(3, 20):
         c = general_coefficients(k)
         if k % 2:
-            assert c.epsilon == F(2 * k - 2, k * (k * k - 3))
+            assert 2 * c.a == F(2 * k - 2, k * (k * k - 3))
         else:
-            assert c.epsilon == F(2, k * (k + 1))
+            assert 2 * c.a == F(2, k * (k + 1))
 
 
 def test_density_coefficients():
@@ -97,24 +104,18 @@ def test_connected_bounds_even_k():
 
 
 def test_connected_bounds_regular_exceptions():
-    # K5: k=4, n=k+1 -> larger subtracted constants
-    out = dict(connected_lower_bounds(5, 10, 4, regular_n=5))
+    # K5: k=4, n=k+1 -> larger subtracted constants; 2m = kn marks it regular
+    out = dict(connected_lower_bounds(5, 10, 4))
     assert out["connected_even"] == F(5, 20) + F(10, 5) - F(1, 4) == 2
     assert out["connected_even_density"] == F(30 - 5, 11) - F(6, 22) == 2
+    assert out["connected_even_weak"] == 2
     # circulant on k+3=7 vertices
-    out7 = dict(connected_lower_bounds(7, 14, 4, regular_n=7))
+    out7 = dict(connected_lower_bounds(7, 14, 4))
     assert out7["connected_even"] == F(7, 20) + F(14, 5) - F(3, 20) == 3
     assert out7["connected_even_density"] == F(42 - 7, 11) - F(4, 22) == 3
     # k=4, n=9 has its own exceptional constant
-    out9 = dict(connected_lower_bounds(9, 18, 4, regular_n=9))
+    out9 = dict(connected_lower_bounds(9, 18, 4))
     assert out9["connected_even_density"] == F(54 - 9, 11) - F(2, 22)
-
-
-def test_connected_bounds_regular_consistency_check():
-    with pytest.raises(ValueError):
-        connected_lower_bounds(10, 20, 4, regular_n=5)  # n mismatch
-    with pytest.raises(ValueError):
-        connected_lower_bounds(5, 9, 4, regular_n=5)  # 2m != nk
 
 
 def test_kregular_reference_bound():
@@ -148,11 +149,20 @@ def test_format_decimal_half_even():
     assert format_decimal(F(1, 9)) == "0.11111"
     assert format_decimal(F(1, 20)) == "0.05000"
     assert format_decimal(F(-1, 11)) == "-0.09091"
-    assert format_decimal(F(1, 2), places=0) == "0"  # ties to even
-    assert format_decimal(F(3, 2), places=0) == "2"
+    assert format_decimal(F(1, 200000)) == "0.00000"  # ties to even
+    assert format_decimal(F(3, 200000)) == "0.00002"
 
 
 # --- audit ------------------------------------------------------------
+
+def test_entries_store_each_fact_once():
+    assert [f.name for f in fields(CoefficientSet)] == ["a", "b"]
+    assert [f.name for f in fields(BoundEntry)] == [
+        "name", "reason", "value", "slack"]
+    skipped = audit_graph(complete(5), 4).entry("general")
+    assert skipped.value is None and skipped.reason
+    assert not (skipped.applicable or skipped.tight or skipped.violated)
+
 
 def test_audit_on_connected_cubic_graph():
     pet_edges = [(i, (i + 1) % 5) for i in range(5)]
@@ -226,3 +236,50 @@ def test_audit_never_reports_negative_slack_on_reference_graphs():
             if degree_profile(g).max_degree > k:
                 continue
             assert not audit_graph(g, k).violations
+
+
+# SHA-256 of `audit --k K` exit code, stdout, stderr and `--json` bytes for
+# each graph below at K in {k, k+1, 3}, recorded while connected_lower_bounds
+# still took the regular order from its caller and BoundEntry stored
+# `applicable`. The plain graphs are the regular orders with exceptional
+# constants (n = k+1, n = k+3, k=4 with n=9) and a disconnected regular one.
+GOLDEN_AUDIT = ("9dfd9813cda79314b4d37fd56181a27e"
+                "0c44b0c335ecfe86fa13abf222fdc936")
+
+GOLDEN_AUDIT_GRAPHS = (
+    (4, lambda: block_chain(4, 1).graph),
+    (4, lambda: block_chain(4, 2, "gssgsgs").graph),
+    (4, lambda: block_chain(4, 3, "singles").graph),
+    (4, lambda: block_chain(4, 12).graph),
+    (6, lambda: block_chain(6, 2, "gsgsgsgsgsg").graph),
+    (4, lambda: regular_gadget_ring(4, 1).graph),
+    (4, lambda: regular_gadget_ring(4, 5).graph),
+    (6, lambda: regular_gadget_ring(6, 2).graph),
+    (3, lambda: tree_with_gadgets(3, canonical_tree(3, 9, "tree")).graph),
+    (3, lambda: tree_with_gadgets(3, canonical_tree(3, 21, "regular")).graph),
+    (5, lambda: tree_with_gadgets(5, canonical_tree(5, 8, "tree")).graph),
+    (3, lambda: complete(4)),
+    (4, lambda: complete(5)),
+    (4, lambda: circulant(7, (1, 2))),
+    (4, lambda: circulant(9, (1, 2))),
+    (6, lambda: complete(7)),
+    (6, lambda: circulant(9, (1, 2, 3))),
+    (4, lambda: build_graph(10, [(i + s, j + s) for s in (0, 5)
+                                 for i in range(5) for j in range(i + 1, 5)])),
+)
+
+
+def test_audit_output_matches_the_recorded_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path, out = tmp_path / "g.el", tmp_path / "report.json"
+    for k, make in GOLDEN_AUDIT_GRAPHS:
+        path.write_text(emit_edge_list(make()))
+        for audit_k in sorted({k, k + 1, 3}):
+            out.unlink(missing_ok=True)
+            code = run_cli(["audit", str(path), "--k", str(audit_k),
+                            "--json", str(out)])
+            captured = capsys.readouterr()
+            digest.update(f"{code}\n{captured.out}{captured.err}".encode())
+            if out.exists():
+                digest.update(out.read_bytes())
+    assert digest.hexdigest() == GOLDEN_AUDIT

@@ -43,8 +43,13 @@ def test_errors_carry_line_numbers():
         parse_edge_list("# intro\n3 2\n0 1\n2 1\n")
     with pytest.raises(EdgeListError, match="line 2"):
         parse_edge_list("2 1\n0 1 2\n")
-    with pytest.raises(EdgeListError):
-        parse_edge_list("2 2\n0 1\n0 1\n")  # duplicate
+    with pytest.raises(EdgeListError, match="line 3: duplicate edge"):
+        parse_edge_list("2 2\n0 1\n0 1\n")
+    with pytest.raises(EdgeListError,
+                       match=r"line 2: edge \(0, 5\) out of range for n=3"):
+        parse_edge_list("3 1\n0 5\n")
+    with pytest.raises(EdgeListError, match=r"line 4: edge \(-1, 2\)"):
+        parse_edge_list("3 2\n# skipped\n0 1\n-1 2\n")
     with pytest.raises(EdgeListError):
         parse_edge_list("-1 0\n")
 
