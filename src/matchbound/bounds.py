@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from matchbound.graphs import Graph, components, degree_profile, is_k_regular
@@ -34,11 +35,13 @@ class CoefficientSet:
     b: Fraction
 
 
+@lru_cache(maxsize=None)
 def general_coefficients(k: int) -> CoefficientSet:
     """The (a, b) pair of the component-penalized bound a*(n-c) + b*m.
 
     Defined through epsilon = 2a: a = epsilon/2 and
-    b = (2 - k*epsilon)/(2k), so a + b = 1/k always holds.
+    b = (2 - k*epsilon)/(2k), so a + b = 1/k always holds. Computed once
+    per k; the frozen result is shared.
     """
     if k < 3:
         raise ValueError(f"general coefficients need k >= 3, got {k}")
@@ -49,8 +52,12 @@ def general_coefficients(k: int) -> CoefficientSet:
     return CoefficientSet(eps / 2, Fraction(2 - k * eps, 2 * k))
 
 
+@lru_cache(maxsize=None)
 def density_coefficients(k: int) -> CoefficientSet:
-    """The even-k pair (a, b) of the density bound b*m - a*n (k*b - a = 1)."""
+    """The even-k pair (a, b) of the density bound b*m - a*n (k*b - a = 1).
+
+    Computed once per k; the frozen result is shared.
+    """
     if k < 2 or k % 2:
         raise ValueError(f"density coefficients need even k >= 2, got {k}")
     den = k * k + k + 2

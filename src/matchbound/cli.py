@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import argparse
@@ -76,7 +77,10 @@ def _merge_tuple_flags(argv: list[str]) -> list[str]:
     return merged
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first run_cli call and then reused: parse_args keeps no
+    # state in the parser, and building one takes longer than parsing
     parser = argparse.ArgumentParser(
         prog="matchbound",
         description="Matching numbers, lower bounds, extremal families, "

@@ -140,11 +140,15 @@ def degree_profile(g: Graph) -> Structure:
     return g.structure
 
 
-def odd_component_count(nbr_masks: tuple[int, ...], vertex_mask: int) -> int:
+def odd_component_count(nbr_masks: tuple[int, ...], vertex_mask: int,
+                        floor: int = 0) -> int:
     """Number of odd-order components of the subgraph on `vertex_mask`.
 
     Floods one component at a time through the neighborhood bitmasks, so
-    nothing is rebuilt for a vertex subset.
+    nothing is rebuilt for a vertex subset. With a `floor`, the flood stops
+    once the count can no longer reach it: the component being flooded adds
+    at most one and every vertex outside it at most one more. A stopped
+    flood returns a number below `floor`, not the count.
     """
     remaining = vertex_mask
     odd = 0
@@ -153,6 +157,9 @@ def odd_component_count(nbr_masks: tuple[int, ...], vertex_mask: int) -> int:
         comp = seed
         frontier = seed
         while frontier:
+            # checked once per BFS layer; comp is a subset of remaining
+            if odd + 1 + (remaining ^ comp).bit_count() < floor:
+                return odd
             reach = 0
             t = frontier
             while t:

@@ -5,9 +5,12 @@ Two independent routes to the matching number:
 * :func:`maximum_matching` — augmenting-path search with blossom
   contraction, pruned so that each search touches only what it visits;
   usable at any size.
-* :func:`tutte_berge` — the deficiency formula evaluated by enumerating
-  every vertex subset, usable only for small graphs but with no shared
-  code or ideas with the blossom side, so it can audit it.
+* :func:`tutte_berge` — the deficiency formula min over X of
+  (n + |X| - oc(G - X)) / 2, evaluated by enumerating vertex sets X. It
+  skips the sets that cannot tie the best value found: v(X) >= 2|X| bounds
+  the set size, and a flood stops once oc(G - X) cannot reach
+  n + |X| - best. Usable only for small graphs, but with no shared code or
+  ideas with the blossom side, so it can audit it.
 
 Both are deterministic for a fixed input encoding.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from matchbound.graphs import Graph, odd_component_count
 
@@ -191,12 +195,22 @@ class TutteBergeCertificate:
 
 
 def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
-    """Minimize (n + |X| - odd_components(g - X)) / 2 over all vertex sets X.
+    """Minimize (n + |X| - odd_components(g - X)) / 2 over vertex sets X.
 
-    Enumerates all 2^n subsets, counting odd components of each remainder
-    with the bitmask flood of :func:`graphs.odd_component_count`. Returns
-    the minimum — which equals the matching number — together with the
-    lexicographically-least minimizing set.
+    Returns the minimum — which equals the matching number (Berge 1958) —
+    together with the lexicographically least minimizing set. Writing
+    v(X) = n + |X| - oc(g - X), only sets that can still tie or beat the
+    best value found are evaluated:
+
+    * Size cut-off. v(X) >= 2|X|, since every odd component holds a vertex
+      outside X. Sets are taken by increasing size, in tuple order within a
+      size, and the search stops once 2|X| exceeds the best value. In the
+      size class where 2|X| equals it only a tie is possible, so the class
+      ends at the current witness.
+    * Flood floor. X ties or wins only if oc(g - X) >= n + |X| - best, so
+      the bitmask flood of :func:`graphs.odd_component_count` stops as soon
+      as the odd components so far, plus one for the component being
+      flooded, plus the vertices outside it fall short of that.
     """
     n = g.vertex_count
     if n > max_n:
@@ -205,27 +219,21 @@ def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
             f"{max_n} (raise max_n to override)")
     nbr = g.nbr_masks
     full = (1 << n) - 1
-    # doubled value n + |X| - oc(g - X); X = empty set runs first, so best2
-    # is always set and ties prefer the lexicographically least witness
-    best2 = 2 * n + 2
+    # doubled value v(X), always even since oc = n - |X| (mod 2)
+    best2 = n - odd_component_count(nbr, full)
     best_witness: tuple[int, ...] = ()
-    for x_mask in range(1 << n):
-        odd = odd_component_count(nbr, full & ~x_mask)
-        value2 = n + x_mask.bit_count() - odd
-        if value2 < best2:
-            best2 = value2
-            best_witness = _mask_to_tuple(x_mask)
-        elif value2 == best2:
-            candidate = _mask_to_tuple(x_mask)
-            if candidate < best_witness:
-                best_witness = candidate
+    bits = [1 << v for v in range(n)]
+    for size in range(1, n + 1):
+        if 2 * size > best2:
+            break
+        for x, x_bits in zip(combinations(range(n), size),
+                             combinations(bits, size)):
+            if 2 * size == best2 and x >= best_witness:
+                break
+            odd = odd_component_count(nbr, full ^ sum(x_bits),
+                                      n + size - best2)
+            value2 = n + size - odd
+            if value2 < best2 or (value2 == best2 and x < best_witness):
+                best2 = value2
+                best_witness = x
     return TutteBergeCertificate(best2 // 2, best_witness)
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return tuple(out)

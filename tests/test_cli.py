@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from matchbound import edgelist
+from matchbound import cli, edgelist
 from matchbound.cli import run_cli
 from matchbound.edgelist import MAX_VERTICES, EdgeListError, parse_edge_list
 
@@ -257,3 +257,30 @@ def test_version_flag(capsys):
     code, out, _ = invoke(capsys, "--version")
     assert code == 0
     assert out.startswith("matchbound ")
+
+
+def test_one_parser_serves_every_command_in_a_process(
+        tmp_path, capsys, monkeypatch):
+    star = write_graph(tmp_path, "star.el", "5 4\n0 1\n0 2\n0 3\n0 4\n")
+    commands = [
+        ["matching", star],
+        ["tutte-berge", star, "--max-n", "3"],
+        ["nonsense"],
+        ["--version"],
+        ["audit", star, "--k", "4"],
+        ["tables", "--which", "3"],
+        ["construct", "gkr", "--k", "4", "--r", "2"],
+        ["region", "--k", "4", "--point", "-1/11,3/11"],
+        ["tutte-berge", star],
+        ["construct", "hkr", "--k", "3", "--r", "4", "--part2", "1"],
+        ["fuzz", "--k", "3", "--trials", "5", "--max-n", "8", "--seed", "1"],
+        ["matching"],
+    ]
+    # the reference: a parser built afresh for every call
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [invoke(capsys, *argv) for argv in commands]
+    assert {code for code, _, _ in fresh} == {0, 2}
+    assert cli._build_parser() is cli._build_parser()
+    assert [invoke(capsys, *argv) for argv in commands] == fresh
+    assert [invoke(capsys, *argv) for argv in commands[::-1]] == fresh[::-1]

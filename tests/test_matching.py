@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -166,7 +167,9 @@ def test_oracle_agrees_with_blossom_after_failed_searches():
 
 
 def test_oracle_on_the_large_chain_instance():
-    # the 21-vertex mixed chain: full 2^21 enumeration, a few seconds
+    # the 21-vertex mixed chain: the witness is the first pair tried, so
+    # the size cut-off ends the search after |X| = 7 (about 0.2M of the
+    # 2^21 sets) and the flood floor stops early on every set after it
     gg = block_chain(4, 2, "gssgsgs")
     cert = tutte_berge(gg.graph, max_n=22)
     assert cert.value == 8
@@ -215,3 +218,103 @@ def test_matching_stdout_is_byte_identical_to_the_recorded_digest(
         assert run_cli(["matching", str(path)]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def brute_force_tutte_berge(g):
+    """Unpruned reference: every subset X, with a plain DFS over adjacency.
+
+    The least (n + |X| - oc, X) pair gives the value and, among the sets
+    attaining it, the lexicographically least witness.
+    """
+    n = g.vertex_count
+    best = None
+    for s in range(n + 1):
+        for x in combinations(range(n), s):
+            seen = set(x)
+            odd = 0
+            for start in range(n):
+                if start in seen:
+                    continue
+                seen.add(start)
+                stack = [start]
+                size = 0
+                while stack:
+                    v = stack.pop()
+                    size += 1
+                    for u in g.adjacency[v]:
+                        if u not in seen:
+                            seen.add(u)
+                            stack.append(u)
+                odd += size % 2
+            if best is None or (n + s - odd, x) < best:
+                best = (n + s - odd, x)
+    return best[0] // 2, best[1]
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.vertex_count
+    return build_graph(offset, edges)
+
+
+def test_oracle_agrees_with_an_unpruned_enumeration():
+    rng = random.Random(28411)
+    graphs = [build_graph(n, []) for n in range(6)]
+    for _ in range(150):
+        n = rng.randint(0, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        graphs.append(build_graph(n, pairs[:rng.randint(0, len(pairs))]))
+    for _ in range(30):
+        n = rng.randint(5, 10)
+        k = rng.randint(2, 6)
+        graphs.append(random_connected_bounded(rng.getrandbits(64), n, k))
+    for _ in range(20):
+        a = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 5), 3)
+        b = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 5), 4)
+        graphs.append(disjoint_union(a, b))
+    for g in graphs:
+        cert = tutte_berge(g)
+        assert (cert.value, cert.witness) == brute_force_tutte_berge(g)
+
+
+def oracle_golden_graphs():
+    """The fixed seeded inputs whose `tutte-berge` stdout is pinned below."""
+    rng = random.Random(70607)
+    graphs = []
+    for _ in range(200):
+        n = rng.randint(1, 16)
+        k = rng.randint(2, 6)
+        graphs.append(random_connected_bounded(rng.getrandbits(64), n, k))
+    for _ in range(30):
+        a = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 8),
+                                     rng.randint(2, 6))
+        b = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 8),
+                                     rng.randint(2, 6))
+        graphs.append(disjoint_union(a, b))
+    for _ in range(100):
+        n = rng.randint(0, 11)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        graphs.append(build_graph(n, pairs[:rng.randint(0, len(pairs))]))
+    graphs += [build_graph(n, []) for n in range(8)]
+    return graphs
+
+
+# SHA-256 of the concatenated `tutte-berge` stdout over oracle_golden_graphs(),
+# recorded with the unpruned 2^n enumeration: the pruned oracle must return
+# the same value and lexicographically least witness on every input.
+ORACLE_DIGEST = ("2cda17b35da30ec93ff75617c0e9ab9f"
+                 "2e8b08a26ef2e05cbaa4200055502657")
+
+
+def test_tutte_berge_stdout_matches_the_recorded_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "g.el"
+    for g in oracle_golden_graphs():
+        path.write_text(emit_edge_list(g))
+        assert run_cli(["tutte-berge", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ORACLE_DIGEST
