@@ -2,10 +2,10 @@
 
 Graphs are immutable after construction: dense 0-based vertex ids and sorted
 adjacency tuples, O(n + m) in all. The per-vertex neighborhood bitmasks
-(plain ints) that the masked flood below and the exhaustive matching oracle
-share take O(n^2) bits, so they are built on first use. This module is
-the only one that walks a graph: a single BFS builds the cached
-:class:`Structure` that components, degrees and regularity are read from.
+(plain ints) behind the masked odd-component count below take O(n^2) bits,
+so they are built on first use. This module is the only one that walks a
+graph: a single BFS builds the cached :class:`Structure` that components,
+degrees and regularity are read from.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class Graph:
     @cached_property
     def nbr_masks(self) -> tuple[int, ...]:
         """Neighborhood bitmasks: bit u of nbr_masks[v] is set iff {u,v} is
-        an edge. Built on first use; only the oracle-sized callers need it."""
+        an edge. Built on first use; only :func:`odd_component_count` reads
+        them."""
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -140,15 +141,11 @@ def degree_profile(g: Graph) -> Structure:
     return g.structure
 
 
-def odd_component_count(nbr_masks: tuple[int, ...], vertex_mask: int,
-                        floor: int = 0) -> int:
+def odd_component_count(nbr_masks: tuple[int, ...], vertex_mask: int) -> int:
     """Number of odd-order components of the subgraph on `vertex_mask`.
 
     Floods one component at a time through the neighborhood bitmasks, so
-    nothing is rebuilt for a vertex subset. With a `floor`, the flood stops
-    once the count can no longer reach it: the component being flooded adds
-    at most one and every vertex outside it at most one more. A stopped
-    flood returns a number below `floor`, not the count.
+    nothing is rebuilt for a vertex subset.
     """
     remaining = vertex_mask
     odd = 0
@@ -157,9 +154,6 @@ def odd_component_count(nbr_masks: tuple[int, ...], vertex_mask: int,
         comp = seed
         frontier = seed
         while frontier:
-            # checked once per BFS layer; comp is a subset of remaining
-            if odd + 1 + (remaining ^ comp).bit_count() < floor:
-                return odd
             reach = 0
             t = frontier
             while t:

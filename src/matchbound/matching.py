@@ -6,11 +6,12 @@ Two independent routes to the matching number:
   contraction, pruned so that each search touches only what it visits;
   usable at any size.
 * :func:`tutte_berge` — the deficiency formula min over X of
-  (n + |X| - oc(G - X)) / 2, evaluated by enumerating vertex sets X. It
-  skips the sets that cannot tie the best value found: v(X) >= 2|X| bounds
-  the set size, and a flood stops once oc(G - X) cannot reach
-  n + |X| - best. Usable only for small graphs, but with no shared code or
-  ideas with the blossom side, so it can audit it.
+  (n + |X| - oc(G - X)) / 2, evaluated on every vertex set X at once: bit i
+  of a big-int plane stands for the set X_i, and components are flooded
+  over the adjacency in all sets in parallel, in blocks of 2^BLOCK_BITS
+  sets. Usable only for small graphs, but it reads nothing but the
+  adjacency and shares no code or ideas with the blossom side (nor with
+  :mod:`graphs`' odd-component count), so it can audit both.
 
 Both are deterministic for a fixed input encoding.
 """
@@ -19,9 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
-from matchbound.graphs import Graph, odd_component_count
+from matchbound.graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,11 @@ def maximum_matching(g: Graph) -> Matching:
     return Matching(edges)
 
 
+# the oracle evaluates its 2^n vertex sets in blocks of 2^BLOCK_BITS, so its
+# planes hold 2^BLOCK_BITS bits and its memory does not grow with n
+BLOCK_BITS = 18
+
+
 class OracleSizeError(ValueError):
     """Raised when a graph is too large for exhaustive enumeration."""
 
@@ -198,42 +203,112 @@ def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
     """Minimize (n + |X| - odd_components(g - X)) / 2 over vertex sets X.
 
     Returns the minimum — which equals the matching number (Berge 1958) —
-    together with the lexicographically least minimizing set. Writing
-    v(X) = n + |X| - oc(g - X), only sets that can still tie or beat the
-    best value found are evaluated:
+    together with the lexicographically least minimizing set. No set is
+    skipped; all are evaluated at once, bit-parallel in big-int planes.
 
-    * Size cut-off. v(X) >= 2|X|, since every odd component holds a vertex
-      outside X. Sets are taken by increasing size, in tuple order within a
-      size, and the search stops once 2|X| exceeds the best value. In the
-      size class where 2|X| equals it only a tie is possible, so the class
-      ends at the current witness.
-    * Flood floor. X ties or wins only if oc(g - X) >= n + |X| - best, so
-      the bitmask flood of :func:`graphs.odd_component_count` stops as soon
-      as the odd components so far, plus one for the component being
-      flooded, plus the vertices outside it fall short of that.
+    * Blocks. The sets are taken in blocks of 2^BLOCK_BITS: inside a block
+      the low BLOCK_BITS vertices vary and the others are fixed, so memory
+      stays at a few MiB whatever n is. Bit i of a plane stands for the set
+      whose low members are the set bits of i. The least (value, witness)
+      pair is kept across blocks.
+    * Planes. ``member[v]`` marks the sets that contain v; ``rem[v]`` marks
+      the sets in which v is outside X and not yet in a flooded component.
+    * Rounds. Each round seeds every set at its lowest remaining vertex,
+      floods over the adjacency until no plane changes, adds the parity of
+      the flooded components to a bit-sliced counter and clears them from
+      ``rem``. It ends when no set has a vertex left.
+    * Counter. It starts at the number of low vertices outside X, so it ends
+      at oc(g - X) minus |X| plus a constant of the block; filtering its
+      planes from the top bit down keeps exactly the minimizing sets.
+    * Witness. A greedy walk over ``member`` picks the least of them.
     """
     n = g.vertex_count
     if n > max_n:
         raise OracleSizeError(
             f"graph has {n} vertices; exhaustive enumeration is limited to "
             f"{max_n} (raise max_n to override)")
-    nbr = g.nbr_masks
-    full = (1 << n) - 1
-    # doubled value v(X), always even since oc = n - |X| (mod 2)
-    best2 = n - odd_component_count(nbr, full)
-    best_witness: tuple[int, ...] = ()
-    bits = [1 << v for v in range(n)]
-    for size in range(1, n + 1):
-        if 2 * size > best2:
-            break
-        for x, x_bits in zip(combinations(range(n), size),
-                             combinations(bits, size)):
-            if 2 * size == best2 and x >= best_witness:
+    adj = g.adjacency
+    low = min(n, BLOCK_BITS)
+    width = 1 << low
+    full = (1 << width) - 1
+    # bit i of member[v] is bit v of i: one period of 2^v zeros and 2^v
+    # ones, doubled until it spans the plane
+    member = []
+    for v in range(low):
+        plane = ((1 << (1 << v)) - 1) << (1 << v)
+        span = 2 << v
+        while span < width:
+            plane |= plane << span
+            span <<= 1
+        member.append(plane)
+    base: list[int] = []  # low - |X ∩ low vertices|, the same in every block
+    for plane in member:
+        _count(base, full ^ plane)
+    best: tuple[int, tuple[int, ...]] | None = None
+    for high in range(1 << (n - low)):
+        fixed = tuple(v for v in range(low, n) if high >> (v - low) & 1)
+        rem = [full ^ plane for plane in member]
+        rem += [0 if v in fixed else full for v in range(low, n)]
+        counter = list(base)
+        while True:
+            comp = []
+            seen = 0
+            for r in rem:
+                comp.append(r & ~seen)
+                seen |= r
+            if not seen:
                 break
-            odd = odd_component_count(nbr, full ^ sum(x_bits),
-                                      n + size - best2)
-            value2 = n + size - odd
-            if value2 < best2 or (value2 == best2 and x < best_witness):
-                best2 = value2
-                best_witness = x
-    return TutteBergeCertificate(best2 // 2, best_witness)
+            # sweep until no plane changes; a vertex is recomputed only
+            # after a neighbor's plane grew
+            dirty = [True] * n
+            changed = True
+            while changed:
+                changed = False
+                for v in range(n):
+                    if not dirty[v]:
+                        continue
+                    dirty[v] = False
+                    reach = comp[v]
+                    for u in adj[v]:
+                        reach |= comp[u]
+                    reach &= rem[v]
+                    if reach != comp[v]:
+                        comp[v] = reach
+                        changed = True
+                        for u in adj[v]:
+                            dirty[u] = True
+            parity = 0
+            for v in range(n):
+                parity ^= comp[v]
+                rem[v] ^= comp[v]
+            _count(counter, parity)
+        cand = full
+        top = 0
+        for j in reversed(range(len(counter))):
+            if kept := cand & counter[j]:
+                cand = kept
+                top |= 1 << j
+        # the survivors agree below u, on the vertices taken into walk; with
+        # no fixed vertex, the one whose index is below 2^u ends there
+        walk = []
+        for u in range(low):
+            if not fixed and cand & ((1 << (1 << u)) - 1):
+                break
+            if kept := cand & member[u]:
+                cand = kept
+                walk.append(u)
+        cert = (n + low + len(fixed) - top, tuple(walk) + fixed)
+        if best is None or cert < best:
+            best = cert
+    return TutteBergeCertificate(best[0] // 2, best[1])
+
+
+def _count(counter: list[int], plane: int) -> None:
+    """Add a 0/1 plane to a bit-sliced counter (bit planes, lowest first)."""
+    for j, c in enumerate(counter):
+        if not plane:
+            return
+        counter[j] = c ^ plane
+        plane &= c
+    if plane:
+        counter.append(plane)

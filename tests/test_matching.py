@@ -1,15 +1,18 @@
 import hashlib
 import random
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
+from matchbound import matching
 from matchbound.cli import run_cli
 from matchbound.edgelist import emit_edge_list
 from matchbound.families import (block_chain, canonical_tree,
                                  regular_gadget_ring, tree_with_gadgets)
 from matchbound.fuzz import random_connected_bounded
-from matchbound.graphs import build_graph
+from matchbound.graphs import build_graph, odd_components_after_deletion
 from matchbound.matching import (Matching, OracleSizeError, maximum_matching,
                                  tutte_berge, verify_matching)
 
@@ -98,11 +101,12 @@ def test_tutte_berge_witness_is_lex_least():
 
 
 def test_witness_attains_the_value():
-    g = circulant(9, (1, 2))
-    cert = tutte_berge(g)
-    from matchbound.graphs import odd_components_after_deletion
-    oc = odd_components_after_deletion(g, cert.witness)
-    assert (g.vertex_count + len(cert.witness) - oc) == 2 * cert.value
+    # the check the benchmark makes on every oracle-certify op: graphs' own
+    # bitmask flood counts oc(G - X) for the witness the oracle found
+    for g in [circulant(9, (1, 2))] + oracle_golden_graphs():
+        cert = tutte_berge(g)
+        oc = odd_components_after_deletion(g, cert.witness)
+        assert (g.vertex_count + len(cert.witness) - oc) == 2 * cert.value
 
 
 def test_size_limit():
@@ -167,9 +171,8 @@ def test_oracle_agrees_with_blossom_after_failed_searches():
 
 
 def test_oracle_on_the_large_chain_instance():
-    # the 21-vertex mixed chain: the witness is the first pair tried, so
-    # the size cut-off ends the search after |X| = 7 (about 0.2M of the
-    # 2^21 sets) and the flood floor stops early on every set after it
+    # the 21-vertex mixed chain: all 2^21 sets are evaluated, in 8 blocks
+    # of 2^18, and the witness comes from the first block
     gg = block_chain(4, 2, "gssgsgs")
     cert = tutte_berge(gg.graph, max_n=22)
     assert cert.value == 8
@@ -259,7 +262,9 @@ def disjoint_union(*graphs):
     return build_graph(offset, edges)
 
 
-def test_oracle_agrees_with_an_unpruned_enumeration():
+def unpruned_enumeration_graphs():
+    """Small seeded graphs (connected, disconnected and edgeless) checked
+    against brute_force_tutte_berge."""
     rng = random.Random(28411)
     graphs = [build_graph(n, []) for n in range(6)]
     for _ in range(150):
@@ -275,9 +280,52 @@ def test_oracle_agrees_with_an_unpruned_enumeration():
         a = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 5), 3)
         b = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 5), 4)
         graphs.append(disjoint_union(a, b))
-    for g in graphs:
+    return graphs
+
+
+def test_oracle_agrees_with_an_unpruned_enumeration():
+    for g in unpruned_enumeration_graphs():
         cert = tutte_berge(g)
         assert (cert.value, cert.witness) == brute_force_tutte_berge(g)
+
+
+# Graphs whose least witness lies in a later block of 8 sets than another
+# minimizing set: a merge that keeps the first block's witness on a tie of
+# values returns (0, 4), (5,) and (4,) instead of (0, 2, 4, 6), (2, 3, 5)
+# and (3, 4).
+TIES_ACROSS_BLOCKS = (
+    (10, [(0, 1), (0, 2), (0, 9), (2, 3), (2, 4), (3, 6), (4, 5), (4, 7),
+          (6, 8), (6, 9)]),
+    (9, [(0, 5), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (3, 7), (4, 5),
+         (5, 6)]),
+    (8, [(0, 2), (0, 3), (0, 4), (0, 6), (1, 3), (2, 3), (2, 6), (3, 6),
+         (4, 5), (4, 6), (4, 7)]),
+)
+
+
+def test_oracle_merges_blocks_by_value_then_witness(monkeypatch):
+    # blocks of 8 sets: a graph of n vertices is split into 2^(n-3) blocks
+    monkeypatch.setattr(matching, "BLOCK_BITS", 3)
+    ties = [build_graph(n, edges) for n, edges in TIES_ACROSS_BLOCKS]
+    for g in unpruned_enumeration_graphs() + ties:
+        cert = tutte_berge(g)
+        assert (cert.value, cert.witness) == brute_force_tutte_berge(g)
+
+
+def test_oracle_memory_is_bounded_by_the_block_size():
+    g = random_connected_bounded(22013, 22, 4)
+    assert g.structure.component_count == 1
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        cert = tutte_berge(g)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maximum_matching(g).size == cert.value
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert elapsed < 10.0, f"{elapsed:.1f}s"
 
 
 def oracle_golden_graphs():
