@@ -13,8 +13,17 @@ maximum degree at most k, so a graph is k-regular exactly when 2m = kn,
 and regularity is read from that identity rather than passed in.
 Connected k-regular graphs additionally have a reference bound in n
 alone, and subcubic graphs a bound from the degree counts.
-:func:`audit_graph` evaluates everything that applies to a given graph
-and reports the slack of each bound against the true matching number.
+
+The coefficients are written once, as Fractions, in
+:func:`general_coefficients` and :func:`density_coefficients`. Every bound
+is affine in n, m and the component count c (the subcubic one in the
+degree counts and c), so :func:`bound_rows` scales each one, once per k,
+to an integer row with ``D*bound = A*n + B*m - C*c - const``. A bound is
+then checked by one integer comparison, ``D*alpha' >= A*n + B*m - C*c -
+const``: :func:`evaluate_bounds` gives each bound's numerator and scale D,
+the fuzzer compares them with alpha' directly, and a ``Fraction`` is built
+only for an entry that is printed, in :func:`audit_graph`, which reports
+the slack of each bound against the true matching number.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from matchbound.graphs import Graph, components, degree_profile, is_k_regular
 from matchbound.matching import maximum_matching
@@ -64,16 +74,85 @@ def density_coefficients(k: int) -> CoefficientSet:
     return CoefficientSet(Fraction(k - 2, den), Fraction(k + 2, den))
 
 
-def lower_bound_general(n: int, m: int, c: int, k: int) -> Fraction:
-    """a*(n - c) + b*m; valid when no component is k-regular."""
+class BoundRow(NamedTuple):
+    """One bound at one k, scaled to integers by its least denominator.
+
+    ``scale * bound = n_coeff*n + m_coeff*m - c_coeff*c - const``, except
+    that a k-regular graph whose order is listed in ``regular_consts``
+    subtracts the constant paired with it (the paper's exceptional orders).
+    """
+    name: str
+    scale: int
+    n_coeff: int
+    m_coeff: int
+    c_coeff: int
+    const: int
+    regular_consts: tuple[tuple[int, int], ...] = ()
+
+    def numerator(self, n: int, m: int, c: int, regular: bool) -> int:
+        const = self.const
+        if regular:
+            const = dict(self.regular_consts).get(n, const)
+        return self.n_coeff * n + self.m_coeff * m - self.c_coeff * c - const
+
+
+def _row(name: str, n_coeff: Fraction, m_coeff: Fraction,
+         c_coeff: Fraction = Fraction(0), const: Fraction = Fraction(0),
+         regular: dict[int, Fraction] | None = None) -> BoundRow:
+    """Scale the rational bound ``n_coeff*n + m_coeff*m - c_coeff*c - const``
+    (with ``regular`` mapping an order to its exceptional constant) by the
+    least common denominator of all its values."""
+    regular = regular or {}
+    values = (n_coeff, m_coeff, c_coeff, const, *regular.values())
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    n_, m_, c_, const_, *alt = (int(v * scale) for v in values)
+    return BoundRow(name, scale, n_, m_, c_, const_,
+                    tuple(zip(regular, alt)))
+
+
+@dataclass(frozen=True)
+class BoundRows:
+    """Every bound at one k as integer rows, in audit order."""
+    general: BoundRow
+    density: BoundRow | None  # even k only
+    connected: tuple[BoundRow, ...]
+    # the regular reference bound is the least of these; m_coeff is 0 and
+    # all share one scale
+    reference: tuple[BoundRow, ...]
+
+
+@lru_cache(maxsize=None)
+def bound_rows(k: int) -> BoundRows:
+    """The integer rows of every bound at k, read off the two coefficient
+    sets once per k; the frozen result is shared."""
     cs = general_coefficients(k)
-    return cs.a * (n - c) + cs.b * m
+    general = _row("general", cs.a, cs.b, c_coeff=cs.a)
+    pieces = kregular_reference_pieces(k)
+    scale = lcm(*(x.denominator for piece in pieces for x in piece))
+    reference = tuple(
+        BoundRow("regular_reference", scale, int(coeff * scale), 0, 0,
+                 int(-const * scale))
+        for coeff, const in pieces)
+    if k % 2:
+        return BoundRows(general, None,
+                         (_row("connected_odd", cs.a, cs.b, const=cs.a),),
+                         reference)
 
-
-def lower_bound_density(n: int, m: int, k: int) -> Fraction:
-    """b*m - a*n for even k; valid when no component is k-regular."""
-    cs = density_coefficients(k)
-    return cs.b * m - cs.a * n
+    ds = density_coefficients(k)
+    den = k * k + k + 2
+    density_regular = {k + 1: Fraction(k + 2, den), k + 3: Fraction(4, den)}
+    if k == 4:
+        density_regular[9] = Fraction(2, den)
+    connected = (
+        _row("connected_even", cs.a, cs.b, const=Fraction(1, k * (k + 1)),
+             regular={k + 1: Fraction(1, k),
+                      k + 3: Fraction(3, k * (k + 1))}),
+        _row("connected_even_weak", cs.a, cs.b, const=Fraction(1, k)),
+        _row("connected_even_density", -ds.a, ds.b,
+             regular=density_regular),
+    )
+    return BoundRows(general, _row("density", -ds.a, ds.b), connected,
+                     reference)
 
 
 def connected_lower_bounds(n: int, m: int, k: int
@@ -85,33 +164,9 @@ def connected_lower_bounds(n: int, m: int, k: int
     strong constant, the weak constant that needs no exceptions, and the
     density form).
     """
-    if k < 3:
-        raise ValueError(f"connected bounds need k >= 3, got {k}")
-    regular_n = n if 2 * m == n * k else None
-    cs = general_coefficients(k)
-    if k % 2:
-        return [("connected_odd", cs.a * n + cs.b * m - cs.a)]
-
-    strong_const = Fraction(1, k * (k + 1))
-    if regular_n == k + 1:
-        strong_const = Fraction(1, k)
-    elif regular_n == k + 3:
-        strong_const = Fraction(3, k * (k + 1))
-
-    ds = density_coefficients(k)
-    density_const = Fraction(0)
-    if regular_n == k + 1:
-        density_const = Fraction(k + 2, k * k + k + 2)
-    elif regular_n == k + 3:
-        density_const = Fraction(4, k * k + k + 2)
-    elif k == 4 and regular_n == 9:
-        density_const = Fraction(2, k * k + k + 2)
-
-    return [
-        ("connected_even", cs.a * n + cs.b * m - strong_const),
-        ("connected_even_weak", cs.a * n + cs.b * m - Fraction(1, k)),
-        ("connected_even_density", ds.b * m - ds.a * n - density_const),
-    ]
+    regular = 2 * m == n * k
+    return [(row.name, Fraction(row.numerator(n, m, 1, regular), row.scale))
+            for row in bound_rows(k).connected]
 
 
 def kregular_reference_pieces(k: int) -> list[tuple[Fraction, Fraction]]:
@@ -130,29 +185,18 @@ def kregular_reference_pieces(k: int) -> list[tuple[Fraction, Fraction]]:
 
 def kregular_reference_bound(n: int, k: int) -> Fraction:
     """Lower bound for a connected k-regular graph of order n."""
-    pieces = kregular_reference_pieces(k)
+    rows = bound_rows(k).reference
     if n < k + 1 or n * k % 2:
         raise ValueError(f"no k-regular graph has n={n} vertices "
                          f"(needs n >= {k + 1} and n*k even)")
-    return min(coeff * n + const for coeff, const in pieces)
-
-
-def subcubic_degree_bound(n1: int, n2: int, n3: int, c: int) -> Fraction:
-    """Degree-count bound for graphs of maximum degree at most 3."""
-    if min(n1, n2, n3, c) < 0:
-        raise ValueError("degree counts must be non-negative")
-    return (Fraction(4 * n3, 9) + Fraction(n2, 3) + Fraction(2 * n1, 9)
-            - Fraction(c, 9))
+    return Fraction(min(row.numerator(n, 0, 0, False) for row in rows),
+                    rows[0].scale)
 
 
 def scaled_bound_row(k: int) -> tuple[int, int, int, int]:
     """Integer-scaled general bound: (D, A, B, C) with D*alpha' >= A*n + B*m - C*c."""
-    cs = general_coefficients(k)
-    d = lcm(cs.a.denominator, cs.b.denominator)
-    a_scaled = cs.a * d
-    b_scaled = cs.b * d
-    assert a_scaled.denominator == 1 and b_scaled.denominator == 1
-    return d, int(a_scaled), int(b_scaled), int(a_scaled)
+    row = bound_rows(k).general
+    return row.scale, row.n_coeff, row.m_coeff, row.c_coeff
 
 
 def format_decimal(x: Fraction) -> str:
@@ -198,12 +242,23 @@ class BoundReport:
         raise KeyError(name)
 
 
-def audit_graph(g: Graph, k: int) -> BoundReport:
-    """Evaluate every bound whose hypotheses hold for g against alpha'(g).
+# The subcubic profile bound, for maximum degree at most 3, scaled by 9:
+# 9*bound = 2*n1 + 3*n2 + 4*n3 - c, where n_d counts the vertices of degree d.
+SUBCUBIC_SCALE = 9
+SUBCUBIC_DEGREE_COEFFS = ((1, 2), (2, 3), (3, 4))
 
-    Applicability (connectivity, per-component regularity, parity, degree
-    caps) is checked here so callers cannot apply a bound outside its
-    hypotheses. Inapplicable entries carry the reason.
+# (name, reason, numerator, scale): see evaluate_bounds
+Evaluation = tuple[str, str, int | None, int]
+
+
+def evaluate_bounds(g: Graph, k: int) -> list[Evaluation]:
+    """Every bound at k for g as (name, reason, numerator, scale), in order.
+
+    The bound is numerator/scale, so alpha'(g) meets it exactly when
+    ``scale * alpha' >= numerator``. Applicability (connectivity,
+    per-component regularity, parity, degree caps) is checked here so
+    callers cannot apply a bound outside its hypotheses: an inapplicable
+    entry has numerator None and a reason.
     """
     if k < 3:
         raise ValueError(f"audit needs k >= 3, got {k}")
@@ -213,52 +268,56 @@ def audit_graph(g: Graph, k: int) -> BoundReport:
             f"maximum degree {profile.max_degree} exceeds k={k}")
     n = g.vertex_count
     m = g.edge_count
-    parts = components(g)
-    c = parts.component_count
-    reg = is_k_regular(g, k)
-    has_regular_component = any(reg.per_component)
-    connected = c == 1
-    alpha = maximum_matching(g).size
+    c = components(g).component_count
+    regular = 2 * m == n * k
+    # why a hypothesis fails; empty when it holds
+    has_regular_part = ("k-regular component present"
+                        if any(is_k_regular(g, k).per_component) else "")
+    disconnected = "" if c == 1 else "graph is not connected"
+    empty = "" if n >= 1 else "empty graph"
 
-    entries: list[BoundEntry] = []
+    def entry(row: BoundRow, reason: str) -> Evaluation:
+        numerator = None if reason else row.numerator(n, m, c, regular)
+        return row.name, reason, numerator, row.scale
 
-    def add(name: str, value: Fraction) -> None:
-        entries.append(BoundEntry(name, "", value, alpha - value))
+    rows = bound_rows(k)
+    out = [entry(rows.general, has_regular_part or empty)]
+    if rows.density is not None:
+        out.append(entry(rows.density, has_regular_part))
+    out.extend(entry(row, disconnected) for row in rows.connected)
 
-    def skip(name: str, reason: str) -> None:
-        entries.append(BoundEntry(name, reason, None, None))
-
-    no_regular = not has_regular_component
-    if no_regular and n >= 1:
-        add("general", lower_bound_general(n, m, c, k))
+    ref = rows.reference
+    if disconnected or not regular:
+        out.append(entry(ref[0], "graph is not connected and k-regular"))
     else:
-        skip("general",
-             "k-regular component present" if not no_regular else "empty graph")
+        out.append((ref[0].name, "",
+                    min(row.numerator(n, m, c, False) for row in ref),
+                    ref[0].scale))
 
-    if k % 2 == 0:
-        if no_regular:
-            add("density", lower_bound_density(n, m, k))
-        else:
-            skip("density", "k-regular component present")
-
-    for name, value in connected_lower_bounds(n, m, k):
-        if connected:
-            add(name, value)
-        else:
-            skip(name, "graph is not connected")
-
-    if connected and reg.overall:
-        add("regular_reference", kregular_reference_bound(n, k))
-    else:
-        skip("regular_reference", "graph is not connected and k-regular")
-
-    if n >= 1 and profile.max_degree <= 3:
+    cubic_reason = empty or ("maximum degree exceeds 3"
+                             if profile.max_degree > 3 else "")
+    cubic = None
+    if not cubic_reason:
         counts = profile.degree_counts
-        add("subcubic_profile",
-            subcubic_degree_bound(counts.get(1, 0), counts.get(2, 0),
-                                  counts.get(3, 0), c))
-    else:
-        skip("subcubic_profile",
-             "maximum degree exceeds 3" if n >= 1 else "empty graph")
+        cubic = sum(coeff * counts.get(d, 0)
+                    for d, coeff in SUBCUBIC_DEGREE_COEFFS) - c
+    out.append(("subcubic_profile", cubic_reason, cubic, SUBCUBIC_SCALE))
+    return out
 
+
+def audit_graph(g: Graph, k: int) -> BoundReport:
+    """Evaluate every bound whose hypotheses hold for g against alpha'(g).
+
+    The entries are those of :func:`evaluate_bounds`; only here does an
+    applicable bound become a Fraction, with its slack.
+    """
+    evaluated = evaluate_bounds(g, k)
+    alpha = maximum_matching(g).size
+    entries = []
+    for name, reason, numerator, scale in evaluated:
+        if numerator is None:
+            entries.append(BoundEntry(name, reason, None, None))
+        else:
+            value = Fraction(numerator, scale)
+            entries.append(BoundEntry(name, "", value, alpha - value))
     return BoundReport(alpha, tuple(entries))

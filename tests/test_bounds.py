@@ -1,20 +1,22 @@
 import hashlib
+import random
 from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
 from matchbound.bounds import (BoundEntry, CoefficientSet, audit_graph,
-                               connected_lower_bounds, density_coefficients,
+                               bound_rows, connected_lower_bounds,
+                               density_coefficients, evaluate_bounds,
                                format_decimal, general_coefficients,
-                               kregular_reference_bound,
-                               lower_bound_density, lower_bound_general,
-                               scaled_bound_row, subcubic_degree_bound)
+                               kregular_reference_bound, scaled_bound_row)
 from matchbound.cli import run_cli
 from matchbound.edgelist import emit_edge_list
 from matchbound.families import (block_chain, canonical_tree,
                                  regular_gadget_ring, tree_with_gadgets)
+from matchbound.fuzz import random_connected_bounded
 from matchbound.graphs import build_graph
+from matchbound.matching import maximum_matching
 
 
 def complete(n):
@@ -27,6 +29,25 @@ def circulant(n, offsets):
         for o in offsets:
             edges.add(tuple(sorted((i, (i + o) % n))))
     return build_graph(n, sorted(edges))
+
+
+def path(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    return build_graph(10, [tuple(sorted(e)) for e in edges])
+
+
+def disjoint(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.vertex_count
+    return build_graph(offset, edges)
 
 
 # --- coefficient sets -------------------------------------------------
@@ -76,15 +97,18 @@ def test_density_coefficients():
 
 def test_lower_bound_general_values():
     # P7: n=7, m=6, one component, k=3: (7+2*6-1)/9 = 2 = alpha'
-    assert lower_bound_general(7, 6, 1, 3) == 2
+    assert audit_graph(path(7), 3).entry("general").value == 2
     # forest of two P4s, k=3: (8+2*6)/9
-    assert lower_bound_general(8, 6, 2, 3) == F(8 + 12 - 2, 9)
+    assert audit_graph(disjoint(path(4), path(4)), 3).entry(
+        "general").value == F(8 + 12 - 2, 9)
 
 
 def test_lower_bound_density_values():
-    assert lower_bound_density(21, 35, 4) == F(3 * 35 - 21, 11)
+    row = bound_rows(4).density
+    assert F(row.numerator(21, 35, 1, False), row.scale) == F(3 * 35 - 21, 11)
+    assert bound_rows(3).density is None  # odd k has no density bound
     with pytest.raises(ValueError):
-        lower_bound_density(5, 4, 3)
+        density_coefficients(3)
 
 
 def test_connected_bounds_odd_k():
@@ -132,11 +156,14 @@ def test_kregular_reference_bound():
 
 
 def test_subcubic_degree_bound():
-    # C9(1,2) is 4-regular so irrelevant; use the Petersen counts instead:
-    # 10 cubic vertices, one component
-    assert subcubic_degree_bound(0, 0, 10, 1) == F(40 - 1, 9)
-    assert subcubic_degree_bound(2, 0, 0, 1) == F(1, 3)  # a single edge
-    assert subcubic_degree_bound(0, 0, 0, 0) == 0
+    def subcubic(g):
+        return audit_graph(g, 3).entry("subcubic_profile")
+
+    # the Petersen counts: 10 cubic vertices, one component
+    assert subcubic(petersen()).value == F(40 - 1, 9)
+    assert subcubic(path(2)).value == F(1, 3)  # a single edge
+    assert subcubic(build_graph(1, [])).value == F(-1, 9)
+    assert subcubic(build_graph(0, [])).reason == "empty graph"
 
 
 def test_scaled_rows():
@@ -165,10 +192,7 @@ def test_entries_store_each_fact_once():
 
 
 def test_audit_on_connected_cubic_graph():
-    pet_edges = [(i, (i + 1) % 5) for i in range(5)]
-    pet_edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    pet_edges += [(i, i + 5) for i in range(5)]
-    g = build_graph(10, [tuple(sorted(e)) for e in pet_edges])
+    g = petersen()
     report = audit_graph(g, 3)
     assert report.alpha == 5
     # 3-regular: the no-regular-component bounds must be skipped
@@ -283,3 +307,165 @@ def test_audit_output_matches_the_recorded_digest(tmp_path, capsys):
             if out.exists():
                 digest.update(out.read_bytes())
     assert digest.hexdigest() == GOLDEN_AUDIT
+
+
+# --- integer rows against a Fraction reference -------------------------
+
+def reference_bounds(g, k):
+    """Each bound that applies to g at k, computed in Fractions straight
+    from the coefficient sets, independently of the integer rows."""
+    n, m = g.vertex_count, g.edge_count
+    s = g.structure
+    c = s.component_count
+    regular_part = k in s.component_degree
+    regular_n = n if c == 1 and 2 * m == n * k else None
+    cs = general_coefficients(k)
+    out = {}
+    if not regular_part and n >= 1:
+        out["general"] = cs.a * (n - c) + cs.b * m
+    if k % 2 == 0:
+        ds = density_coefficients(k)
+        if not regular_part:
+            out["density"] = ds.b * m - ds.a * n
+    if c == 1 and k % 2:
+        out["connected_odd"] = cs.a * n + cs.b * m - cs.a
+    elif c == 1:
+        den = k * k + k + 2
+        strong = {k + 1: F(1, k), k + 3: F(3, k * (k + 1))}
+        dense = {k + 1: F(k + 2, den), k + 3: F(4, den)}
+        if k == 4:
+            dense[9] = F(2, den)
+        out["connected_even"] = (cs.a * n + cs.b * m
+                                 - strong.get(regular_n, F(1, k * (k + 1))))
+        out["connected_even_weak"] = cs.a * n + cs.b * m - F(1, k)
+        out["connected_even_density"] = (ds.b * m - ds.a * n
+                                         - dense.get(regular_n, 0))
+    if regular_n is not None:
+        if k % 2:
+            out["regular_reference"] = (cs.a + cs.b * k / 2) * n - cs.a
+        else:
+            out["regular_reference"] = min((ds.b * k / 2 - ds.a) * n,
+                                           F(n - 1, 2))
+    if n >= 1 and s.max_degree <= 3:
+        counts = s.degree_counts
+        out["subcubic_profile"] = (F(4 * counts.get(3, 0), 9)
+                                   + F(counts.get(2, 0), 3)
+                                   + F(2 * counts.get(1, 0), 9) - F(c, 9))
+    return out
+
+
+def cycle_complement(n):
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 2, n)
+                           if (i, j) != (0, n - 1)])
+
+
+def verdict_graphs(k):
+    rng = random.Random(1000 + k)
+    yield complete(k + 1)  # n = k+1
+    yield cycle_complement(k + 3)  # k-regular on n = k+3
+    if k == 4:
+        yield circulant(9, (1, 2))
+    yield build_graph(0, [])
+    for i in range(60):
+        n = rng.randint(1, 20)
+        yield random_connected_bounded(rng.getrandbits(64), n, k,
+                                       forbid_regular=i % 2 == 0 and n > 1)
+    for _ in range(30):
+        parts = [random_connected_bounded(rng.getrandbits(64),
+                                          rng.randint(1, 9), k,
+                                          forbid_regular=rng.random() < 0.5)
+                 for _ in range(rng.randint(2, 3))]
+        yield disjoint(*parts)
+
+
+def test_integer_verdicts_match_a_fraction_reference():
+    regular_orders = set()
+    for k in range(3, 9):
+        for g in verdict_graphs(k):
+            alpha = maximum_matching(g).size
+            expected = reference_bounds(g, k)
+            got = {name: (numerator, scale)
+                   for name, _, numerator, scale in evaluate_bounds(g, k)
+                   if numerator is not None}
+            assert set(got) == set(expected), (k, g.edges())
+            for name, (numerator, scale) in got.items():
+                assert F(numerator, scale) == expected[name], (k, name)
+                # the verdicts at alpha' and at alpha' - 1, where every
+                # bound that was tight is violated
+                for a in (alpha, alpha - 1):
+                    slack = a - expected[name]
+                    assert (scale * a == numerator) == (slack == 0)
+                    assert (scale * a < numerator) == (slack < 0)
+            if "regular_reference" in got:
+                regular_orders.add((k, g.vertex_count))
+    assert {(k, k + 1) for k in range(3, 9)} <= regular_orders
+    assert {(k, k + 3) for k in range(3, 9)} <= regular_orders
+    assert (4, 9) in regular_orders
+
+
+def star(leaves):
+    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def random_capped(seed, n, cap):
+    """A seeded graph on n vertices, often disconnected, degrees <= cap."""
+    rng = random.Random(seed)
+    degree = [0] * n
+    edges = set()
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) in edges or max(degree[u], degree[v]) >= cap:
+            continue
+        edges.add((u, v))
+        degree[u] += 1
+        degree[v] += 1
+    return build_graph(n, sorted(edges))
+
+
+# SHA-256 of `audit --k K` exit code, stdout, stderr and `--json` bytes for
+# each graph below at K = 3..8, recorded while every bound was still
+# evaluated in Fractions. These are the cases GOLDEN_AUDIT lacks: n = 0 and
+# 1 (the empty graph has `density` evaluated and tight, `general` skipped),
+# forests, and disconnected non-regular graphs, where the component term of
+# the general bound and the subcubic constant matter; a few maximum degrees
+# exceed the smaller K.
+GOLDEN_AUDIT_EDGE_CASES = ("005efe34ee1c13a8777a1f0805145088"
+                           "0805a663994080e443357efc5b1373a9")
+
+EDGE_CASE_GRAPHS = (
+    lambda: build_graph(0, []),
+    lambda: build_graph(1, []),
+    lambda: build_graph(2, []),
+    lambda: build_graph(5, []),
+    lambda: path(2),
+    lambda: disjoint(path(2), build_graph(1, [])),
+    lambda: path(3),
+    lambda: star(3),
+    lambda: star(5),
+    lambda: disjoint(path(2), path(2), path(2)),
+    lambda: disjoint(path(4), path(3), build_graph(2, [])),
+    lambda: disjoint(star(3), path(5), star(4)),
+    lambda: disjoint(circulant(3, (1,)), path(4)),
+    lambda: disjoint(circulant(5, (1,)), star(3), build_graph(1, [])),
+    lambda: disjoint(complete(4), path(3)),
+    lambda: disjoint(complete(5), circulant(4, (1,))),
+    lambda: disjoint(complete(4), complete(4)),
+    *(lambda s=s: random_capped(s, 2 + s % 19, 3 + s % 4)
+      for s in range(24)),
+)
+
+
+def test_audit_edge_cases_match_the_recorded_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path_, out = tmp_path / "g.el", tmp_path / "report.json"
+    for make in EDGE_CASE_GRAPHS:
+        path_.write_text(emit_edge_list(make()))
+        for audit_k in range(3, 9):
+            out.unlink(missing_ok=True)
+            code = run_cli(["audit", str(path_), "--k", str(audit_k),
+                            "--json", str(out)])
+            captured = capsys.readouterr()
+            digest.update(f"{code}\n{captured.out}{captured.err}".encode())
+            if out.exists():
+                digest.update(out.read_bytes())
+    assert digest.hexdigest() == GOLDEN_AUDIT_EDGE_CASES

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchbound import bounds
 from matchbound.cli import run_cli
 from matchbound.edgelist import emit_edge_list
 from matchbound.fuzz import (FuzzConfig, FuzzOutcome, FuzzViolation,
@@ -158,3 +160,52 @@ def test_samples_match_the_recorded_digest():
         digest.update(emit_edge_list(g).encode())
     assert stripped > 50  # the regular case is exercised
     assert digest.hexdigest() == GOLDEN_SAMPLES
+
+
+# SHA-256 of the edge lists of 2000 seeded samples over the whole range fuzz
+# draws from, n 1..48 and k 1..9 (k = 1 only with n <= 2), every other one
+# kept from being regular. Recorded while the spanning-tree step still
+# rescanned every earlier vertex for spare degree on each new vertex.
+GOLDEN_SAMPLES_FULL_RANGE = ("55c693f72e6bcac2b99b28b33214e640"
+                             "58348033112bf46896324568bafe5223")
+
+
+def test_full_range_samples_match_the_recorded_digest():
+    rng = random.Random(48)
+    digest = hashlib.sha256()
+    for i in range(2000):
+        n = rng.randint(1, 48)
+        k = rng.randint(1 if n <= 2 else 2, 9)
+        forbid = i % 2 == 1 and (n, k) != (2, 1)
+        g = random_connected_bounded(rng.getrandbits(64), n, k,
+                                     forbid_regular=forbid)
+        digest.update(emit_edge_list(g).encode())
+    assert digest.hexdigest() == GOLDEN_SAMPLES_FULL_RANGE
+
+
+def test_run_fuzz_reports_a_bound_that_exceeds_alpha(monkeypatch, capsys):
+    real_rows = bounds.bound_rows
+
+    def inflated(k):
+        rows = real_rows(k)
+        general = rows.general._replace(const=-10 ** 6 * rows.general.scale)
+        return dataclasses.replace(rows, general=general)
+
+    monkeypatch.setattr(bounds, "bound_rows", inflated)
+    config = FuzzConfig(k=4, trials=3, max_n=12, seed=31)
+    outcome = run_fuzz(config)
+    expected = []
+    for trial in range(3):
+        rng = random.Random(_mix(31, trial))
+        n = rng.randint(2, 12)
+        g = random_connected_bounded(rng.getrandbits(64), n, 4, True)
+        expected.append(FuzzViolation(31, trial, g, "general"))
+    assert outcome.violations == expected
+
+    code = run_cli(["fuzz", "--k", "4", "--trials", "3", "--max-n", "12",
+                    "--seed", "31"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [(v["trial"], v["bound"], v["graph"])
+            for v in payload["violations"]] == [
+        (v.trial, "general", emit_edge_list(v.graph)) for v in expected]
