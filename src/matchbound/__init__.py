@@ -6,8 +6,8 @@ The package has four layers:
   plumbing, a blossom-contraction maximum matching, and an exhaustive
   deficiency-formula minimizer used as an independent oracle.
 * :mod:`matchbound.bounds` — every lower bound on the matching number that
-  the library knows, evaluated in exact rational arithmetic, plus a
-  one-shot per-graph audit.
+  the library knows, checked exactly as scaled integers, plus a one-shot
+  per-graph audit whose printed entries are Fractions.
 * :mod:`matchbound.families` — deterministic generators for the extremal
   families that meet those bounds with equality.
 * :mod:`matchbound.region` / :mod:`matchbound.fuzz` — the convex set of

@@ -183,22 +183,6 @@ def kregular_reference_pieces(k: int) -> list[tuple[Fraction, Fraction]]:
     return [(cs.a + cs.b * k / 2, -cs.a)]
 
 
-def kregular_reference_bound(n: int, k: int) -> Fraction:
-    """Lower bound for a connected k-regular graph of order n."""
-    rows = bound_rows(k).reference
-    if n < k + 1 or n * k % 2:
-        raise ValueError(f"no k-regular graph has n={n} vertices "
-                         f"(needs n >= {k + 1} and n*k even)")
-    return Fraction(min(row.numerator(n, 0, 0, False) for row in rows),
-                    rows[0].scale)
-
-
-def scaled_bound_row(k: int) -> tuple[int, int, int, int]:
-    """Integer-scaled general bound: (D, A, B, C) with D*alpha' >= A*n + B*m - C*c."""
-    row = bound_rows(k).general
-    return row.scale, row.n_coeff, row.m_coeff, row.c_coeff
-
-
 def format_decimal(x: Fraction) -> str:
     """Round-half-even decimal string with five places."""
     d = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(

@@ -19,8 +19,8 @@ from pathlib import Path
 import argparse
 
 from matchbound import __version__
-from matchbound.bounds import (BoundReport, audit_graph, format_decimal,
-                               kregular_reference_pieces, scaled_bound_row)
+from matchbound.bounds import (BoundReport, audit_graph, bound_rows,
+                               format_decimal, kregular_reference_pieces)
 from matchbound.edgelist import (EdgeListError, emit_edge_list,
                                  parse_edge_list, to_dot)
 from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
@@ -361,10 +361,11 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         return 0
     print("k,scale,n_coeff,m_coeff,constant,n_coeff_dec,m_coeff_dec")
     for k in range(3, 12):
-        d, a_num, b_num, c_num = scaled_bound_row(k)
-        a_dec = format_decimal(Fraction(a_num, d))
-        b_dec = format_decimal(Fraction(b_num, d))
-        print(f"{k},{d},{a_num},{b_num},{c_num},{a_dec},{b_dec}")
+        row = bound_rows(k).general
+        a_dec = format_decimal(Fraction(row.n_coeff, row.scale))
+        b_dec = format_decimal(Fraction(row.m_coeff, row.scale))
+        print(f"{k},{row.scale},{row.n_coeff},{row.m_coeff},{row.c_coeff},"
+              f"{a_dec},{b_dec}")
     return 0
 
 

@@ -8,11 +8,7 @@ to the identical byte string. Parse errors carry 1-based line numbers.
 
 from __future__ import annotations
 
-from matchbound.graphs import Graph, GraphError, build_graph
-
-# Largest n a header may declare: building a graph peaks at about 233 bytes
-# per vertex even without edges, so this caps one parse at about 2.3 GB.
-MAX_VERTICES = 10 ** 7
+from matchbound.graphs import MAX_VERTICES, Graph, GraphError, build_graph
 
 
 class EdgeListError(ValueError):

@@ -29,9 +29,9 @@ The families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from matchbound.graphs import Graph, build_graph, components, degree_profile
+from matchbound.graphs import (MAX_VERTICES, Graph, build_graph, components,
+                               degree_profile)
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,13 @@ class GeneratedGraph:
     def __post_init__(self) -> None:
         assert self.graph.vertex_count == self.predicted_n
         assert self.graph.edge_count == self.predicted_m
+
+
+def _check_order(n: int) -> None:
+    """Refuse a member above MAX_VERTICES before any of it is built."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"the member would have at least {n} vertices, "
+                         f"above the limit of {MAX_VERTICES}")
 
 
 def complete_minus_edge(k: int) -> GeneratedGraph:
@@ -103,7 +110,15 @@ def block_chain(k: int, r: int, blocks: str = "gadgets") -> GeneratedGraph:
     if r < 1:
         raise ValueError(f"block_chain needs r >= 1, got {r}")
     length = r * (k - 1) + 1
+    # every block is at least one vertex: refuse a huge r before the block
+    # pattern is expanded
+    _check_order(r + length)
     flags = _parse_blocks(blocks, length)
+    gadget_count = sum(flags)
+    n = r + length + gadget_count * k
+    _check_order(n)
+    m = r * k + gadget_count * (k * (k + 1) // 2 - 1)
+    alpha = r + gadget_count * k // 2
 
     gadget = complete_minus_edge(k).graph.edges()
     edges: list[tuple[int, int]] = []
@@ -124,12 +139,6 @@ def block_chain(k: int, r: int, blocks: str = "gadgets") -> GeneratedGraph:
         for j in range(i * (k - 1), i * (k - 1) + k):
             edges.append((i, attach[j].pop(0)))
     g = build_graph(next_id, edges)
-
-    gadget_count = sum(flags)
-    single_count = length - gadget_count
-    n = r + single_count + gadget_count * (k + 1)
-    m = r * k + gadget_count * (k * (k + 1) // 2 - 1)
-    alpha = r + gadget_count * k // 2
     return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
 
 
@@ -138,12 +147,6 @@ class BipartiteTree:
     """A tree with a designated bipartition, parts indexed 1 and 2."""
     graph: Graph
     part2: tuple[int, ...]
-
-    @property
-    def part1(self) -> tuple[int, ...]:
-        in2 = set(self.part2)
-        return tuple(v for v in range(self.graph.vertex_count)
-                     if v not in in2)
 
 
 def bipartite_tree(graph: Graph, part2) -> BipartiteTree:
@@ -185,6 +188,8 @@ def canonical_tree(k: int, r: int, mode: str) -> BipartiteTree:
         spine_size = (r - 1) // (k - 1)
     else:
         spine_size = r
+    # every edge has exactly one spine end, and spine vertices have degree k
+    _check_order(k * spine_size + 1)
 
     # spine vertices 0..spine_size-1 all get degree k: consecutive spine
     # vertices share a connector, the rest is leaf padding
@@ -223,6 +228,14 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
     base = tree.graph
     if degree_profile(base).max_degree > k:
         raise ValueError("tree has a vertex of degree above k")
+    n2 = len(tree.part2)
+    n1 = base.vertex_count - n2
+    n = (k * k + k - 1) * n2 - (k + 1) * n1 + (k + 2)
+    _check_order(n)
+    m = ((k ** 3 + k * k - k + 1) * n2 - (k * k + 2 * k - 1) * n1
+         + (k * k + 2 * k - 1)) // 2
+    alpha = ((k * k + 1) * n2 - (k + 1) * n1 + (k + 1)) // 2
+
     gadget = single_link_gadget(k).graph
     edges = list(base.edges())
     link_vertices: list[int] = []
@@ -235,13 +248,6 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
             edges.append((x, offset))
             link_vertices.append(offset)
     g = build_graph(next_id, edges)
-
-    n2 = len(tree.part2)
-    n1 = base.vertex_count - n2
-    n = (k * k + k - 1) * n2 - (k + 1) * n1 + (k + 2)
-    m = ((k ** 3 + k * k - k + 1) * n2 - (k * k + 2 * k - 1) * n1
-         + (k * k + 2 * k - 1)) // 2
-    alpha = ((k * k + 1) * n2 - (k + 1) * n1 + (k + 1)) // 2
     return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
 
 
@@ -256,6 +262,11 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
         raise ValueError(f"regular_gadget_ring needs even k >= 4, got {k}")
     if r < 1:
         raise ValueError(f"regular_gadget_ring needs r >= 1, got {r}")
+    n = r + (k * r // 2) * (k + 1)
+    _check_order(n)
+    m = r * k + k * r * (k * k + k - 2) // 4
+    alpha = r + k * k * r // 4
+
     gadget = complete_minus_edge(k).graph.edges()
     edges: list[tuple[int, int]] = []
     link_vertices: list[int] = []
@@ -276,24 +287,5 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
         for _ in range((k - 2) // 2):
             add_gadget(hub, hub)
     g = build_graph(next_id, edges)
-
-    n = r + (k * r // 2) * (k + 1)
-    m = r * k + k * r * (k * k + k - 2) // 4
-    alpha = r + k * k * r // 4
     return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
 
-
-def gadget_chain_average_degree(k: int, r: int) -> Fraction:
-    """Average degree of the all-gadget block chain."""
-    if k < 4 or k % 2:
-        raise ValueError(f"needs even k >= 4, got {k}")
-    if r < 1:
-        raise ValueError(f"needs r >= 1, got {r}")
-    return k - Fraction(r * (k - 2) + 2, r * k * k + k + 1)
-
-
-def gadget_chain_average_degree_limit(k: int) -> Fraction:
-    """Supremum of the all-gadget chain's average degree over all r."""
-    if k < 4 or k % 2:
-        raise ValueError(f"needs even k >= 4, got {k}")
-    return k - Fraction(k - 2, k * k)

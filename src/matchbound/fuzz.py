@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 from matchbound.bounds import evaluate_bounds
 from matchbound.edgelist import emit_edge_list
-from matchbound.graphs import Graph, build_graph, components, degree_profile
+from matchbound.graphs import (MAX_VERTICES, Graph, build_graph, components,
+                               degree_profile)
 from matchbound.matching import maximum_matching
 
 _MASK64 = (1 << 64) - 1
@@ -51,8 +52,9 @@ class FuzzConfig:
             raise ValueError(f"k must be >= 3, got {self.k}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.max_n < 2:
-            raise ValueError(f"max_n must be >= 2, got {self.max_n}")
+        if not 2 <= self.max_n <= MAX_VERTICES:
+            raise ValueError(f"max_n must be in 2..{MAX_VERTICES}, "
+                             f"got {self.max_n}")
 
 
 @dataclass(frozen=True)

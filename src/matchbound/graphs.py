@@ -15,6 +15,11 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
+# Largest order an input or a generator may ask for: building a graph peaks
+# at about 233 bytes per vertex even without edges, so this caps one graph
+# at about 2.3 GB.
+MAX_VERTICES = 10 ** 7
+
 
 class GraphError(ValueError):
     """Raised for malformed graph input (loops, duplicates, bad ids).

@@ -9,14 +9,12 @@ coefficients in :mod:`matchbound.bounds`: each cap passes through one of
 its extreme points, the bounds' own coefficient pairs.
 
 Coordinates are exact rationals throughout; a point is a (gamma, beta)
-tuple of Fractions, written (a, b) in the transform rules below.
+tuple of Fractions.
 
 Two classifiers are provided: :func:`classify_pair` implements the
 piecewise case analysis, :func:`classify_pair_geometric` just checks every
 half-space. They agree everywhere; keeping both allows one to audit the
-other. Boundary points are classified good (the half-spaces are closed),
-and :func:`tight_family_for` names the graph families that meet the bound
-with bounded slack along each boundary piece.
+other. Boundary points are classified good (the half-spaces are closed).
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from matchbound.bounds import density_coefficients, general_coefficients
-from matchbound.families import (GeneratedGraph, block_chain, canonical_tree,
-                                 regular_gadget_ring, tree_with_gadgets)
 
 Point = tuple[Fraction, Fraction]
 
@@ -78,14 +74,6 @@ def extreme_points(k: int) -> list[Point]:
     return [(cs.a, cs.b), (-ds.a, ds.b)]
 
 
-def intersect_boundaries(h1: HalfSpace, h2: HalfSpace) -> Point:
-    """The point where two boundary lines meet (they must not be parallel)."""
-    if h1.slope == h2.slope:
-        raise ValueError("boundary lines are parallel")
-    gamma = (h2.intercept - h1.intercept) / (h1.slope - h2.slope)
-    return gamma, h1.slope * gamma + h1.intercept
-
-
 def classify_pair(k: int, p: Point) -> bool:
     """True iff (gamma, beta) is good for k, by piecewise case analysis."""
     if k < 3:
@@ -107,91 +95,6 @@ def classify_pair(k: int, p: Point) -> bool:
 def classify_pair_geometric(k: int, p: Point) -> bool:
     """True iff (gamma, beta) lies in every bounding half-space."""
     return all(h.contains(p) for h in half_spaces(k))
-
-
-def transform_good_pair(k: int, p: Point, rule: str, eps: Fraction,
-                        other: Point | None = None) -> Point:
-    """Apply a goodness-preserving transformation to a coefficient pair.
-
-    rules (eps >= 0, rationals):
-      shift_down     -> (a, b - eps)
-      tree_shear     -> (a + eps, b - eps)
-      regular_shear  -> (a - eps*k, b + 2*eps)
-      mix            -> eps*p + (1 - eps)*other, 0 <= eps <= 1
-    """
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    a, b = p
-    if rule == "shift_down":
-        return a, b - eps
-    if rule == "tree_shear":
-        return a + eps, b - eps
-    if rule == "regular_shear":
-        return a - eps * k, b + 2 * eps
-    if rule == "mix":
-        if other is None:
-            raise ValueError("mix rule needs a second point")
-        if eps > 1:
-            raise ValueError(f"mix needs 0 <= eps <= 1, got {eps}")
-        a2, b2 = other
-        return eps * a + (1 - eps) * a2, eps * b + (1 - eps) * b2
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-@dataclass(frozen=True)
-class TightnessWitness:
-    """A graph family meeting a boundary bound with a fixed constant.
-
-    kinds: "trees" (tree members; parity picks the generator),
-    "gadget_chain" (all-gadget block chains, even k only), and
-    "regular" (connected k-regular members). instantiate(i) yields the
-    i-th smallest member, i = 1, 2, 3, ...
-    """
-    kind: str
-    k: int
-
-    def instantiate(self, index: int) -> GeneratedGraph:
-        if index < 1:
-            raise ValueError(f"index must be >= 1, got {index}")
-        k = self.k
-        if self.kind == "trees":
-            if k % 2 == 0:
-                return block_chain(k, index, "singles")
-            return tree_with_gadgets(k, canonical_tree(k, index, "tree"))
-        if self.kind == "gadget_chain":
-            return block_chain(k, index, "gadgets")
-        if self.kind == "regular":
-            if k % 2 == 0:
-                return regular_gadget_ring(k, index)
-            return tree_with_gadgets(
-                k, canonical_tree(k, (k - 1) * index + 1, "regular"))
-        raise ValueError(f"unknown witness kind {self.kind!r}")
-
-
-def tight_family_for(k: int, p: Point) -> list[TightnessWitness]:
-    """Witness families for a boundary point; empty if p is not on the boundary.
-
-    A point on the unit-slope cap is met by trees; on the regular-density
-    cap by connected k-regular members; on the even-k connecting cap by
-    all-gadget chains. Extreme points lie on two caps and get both
-    witnesses.
-    """
-    if not classify_pair_geometric(k, p):
-        return []
-    caps = half_spaces(k)
-    witnesses: list[TightnessWitness] = []
-    if caps[0].on_boundary(p):
-        witnesses.append(TightnessWitness("trees", k))
-    if k % 2:
-        if caps[1].on_boundary(p):
-            witnesses.append(TightnessWitness("regular", k))
-    else:
-        if caps[2].on_boundary(p):
-            witnesses.append(TightnessWitness("gadget_chain", k))
-        if caps[1].on_boundary(p):
-            witnesses.append(TightnessWitness("regular", k))
-    return witnesses
 
 
 def region_polygon(k: int, bbox: tuple[Fraction, Fraction, Fraction, Fraction]

@@ -11,18 +11,14 @@ import random
 import time
 from fractions import Fraction as F
 
-from matchbound.bounds import (audit_graph, format_decimal,
-                               kregular_reference_bound, scaled_bound_row)
-from matchbound.families import (bipartite_tree, block_chain,
-                                 gadget_chain_average_degree,
-                                 gadget_chain_average_degree_limit,
+from matchbound.bounds import audit_graph, bound_rows, format_decimal
+from matchbound.families import (bipartite_tree, block_chain, canonical_tree,
                                  regular_gadget_ring, tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, random_connected_bounded, run_fuzz
 from matchbound.graphs import build_graph, components, is_k_regular
 from matchbound.matching import maximum_matching, tutte_berge, verify_matching
 from matchbound.region import (classify_pair, classify_pair_geometric,
-                               extreme_points, half_spaces, tight_family_for,
-                               transform_good_pair)
+                               extreme_points, half_spaces)
 
 
 def complete(n):
@@ -125,7 +121,8 @@ SCALED_DECIMALS = {
 
 def test_scaled_coefficient_rows_match_the_reference_table():
     for k in range(3, 12):
-        d, a, b, c = scaled_bound_row(k)
+        row = bound_rows(k).general
+        d, a, b, c = row.scale, row.n_coeff, row.m_coeff, row.c_coeff
         assert (d, a, b, c) == SCALED_ROWS[k], k
         assert c == a
         assert (format_decimal(F(a, d)), format_decimal(F(b, d))) \
@@ -150,7 +147,14 @@ def test_regular_reference_bound_matches_its_closed_shapes():
     for k, ns in SAMPLED_N.items():
         shape = REFERENCE_SHAPES[k]
         for n in ns:
-            got = kregular_reference_bound(n, k)
+            # offsets 1..k/2, plus the antipode n/2 for odd k
+            offsets = list(range(1, k // 2 + 1))
+            if k % 2:
+                offsets.append(n // 2)
+            g = circulant(n, offsets)
+            assert is_k_regular(g, k).overall, (k, n)
+            assert components(g).component_count == 1, (k, n)
+            got = audit_graph(g, k).entry("regular_reference").value
             if len(shape) == 2:
                 coeff, const = shape
                 assert got == coeff * n + const, (k, n)
@@ -234,15 +238,34 @@ AVERAGE_DEGREE_TRUNCATIONS = {
 
 def test_gadget_chain_average_degree_limits():
     for k, printed in AVERAGE_DEGREE_TRUNCATIONS.items():
-        limit = gadget_chain_average_degree_limit(k)
+        chains = {r: block_chain(k, r).graph for r in (1, 2, 3, 8, 21)}
+        # n and m grow by fixed steps in r, so 2m/n tends to 2*dm/dn
+        dn, dm = (chains[2].vertex_count - chains[1].vertex_count,
+                  chains[2].edge_count - chains[1].edge_count)
+        assert (chains[3].vertex_count - chains[2].vertex_count,
+                chains[3].edge_count - chains[2].edge_count) == (dn, dm), k
+        limit = F(2 * dm, dn)
         assert limit == k - F(k - 2, k * k)
         truncated = F(math.floor(limit * 1000), 1000)
         assert truncated == F(printed), k
         previous = F(0)
-        for r in (1, 2, 3, 8, 21):
-            value = gadget_chain_average_degree(k, r)
+        for r, g in chains.items():
+            value = F(2 * g.edge_count, g.vertex_count)
             assert previous < value < limit, (k, r)
             previous = value
+
+
+# goodness-preserving moves of a coefficient pair p = (a, b), eps >= 0
+SHEARS = {
+    "shift_down": lambda k, a, b, eps: (a, b - eps),
+    "tree_shear": lambda k, a, b, eps: (a + eps, b - eps),
+    "regular_shear": lambda k, a, b, eps: (a - eps * k, b + 2 * eps),
+}
+
+
+def mix(p, q, t):
+    """t*p + (1 - t)*q for 0 <= t <= 1."""
+    return t * p[0] + (1 - t) * q[0], t * p[1] + (1 - t) * q[1]
 
 
 def test_region_is_convex_and_closed_under_the_transforms():
@@ -259,14 +282,14 @@ def test_region_is_convex_and_closed_under_the_transforms():
         for _ in range(1000):
             p, q = rng.choice(good), rng.choice(good)
             t = F(rng.randint(0, 16), 16)
-            mixed = transform_good_pair(k, p, "mix", t, other=q)
+            mixed = mix(p, q, t)
             assert classify_pair(k, mixed)
             assert classify_pair_geometric(k, mixed)
         # the three shears keep good points good
         for p in good:
             eps = F(rng.randint(0, 40), 160)
-            for rule in ("shift_down", "tree_shear", "regular_shear"):
-                assert classify_pair(k, transform_good_pair(k, p, rule, eps))
+            for shear in SHEARS.values():
+                assert classify_pair(k, shear(k, *p, eps))
         # above the envelope everything is bad, and stays bad going up
         for _ in range(1000):
             gamma = F(rng.randint(-200, 400), 400)
@@ -283,33 +306,63 @@ BOUNDARY_PROBES = {
 }
 
 
+def odd_trees(k, size):
+    return tree_with_gadgets(k, canonical_tree(k, size, "tree"))
+
+
+def odd_regular(k, size):
+    return tree_with_gadgets(
+        k, canonical_tree(k, (k - 1) * size + 1, "regular"))
+
+
+def even_trees(k, size):
+    return block_chain(k, size, "singles")
+
+
+def gadget_chains(k, size):
+    return block_chain(k, size, "gadgets")
+
+
+# the families meeting each probe's bound: trees on the unit-slope cap,
+# connected k-regular members on the regular-density cap, all-gadget chains
+# on the even-k connecting cap; an extreme point lies on two caps
+BOUNDARY_WITNESSES = {
+    (3, F(1, 4)): (odd_trees,),
+    (3, F(1, 9)): (odd_trees, odd_regular),
+    (3, F(-1, 20)): (odd_regular,),
+    (4, F(1, 8)): (even_trees,),
+    (4, F(-9, 440)): (gadget_chains,),
+    (4, F(-1, 8)): (regular_gadget_ring,),
+}
+
+
 def test_boundary_witness_families_share_one_constant():
     for k, probes in BOUNDARY_PROBES.items():
         for gamma, beta in probes:
             if beta is None:
                 beta = envelope(k, gamma)
-            witnesses = tight_family_for(k, (gamma, beta))
-            assert witnesses, (k, gamma, beta)
-            for witness in witnesses:
+            assert classify_pair_geometric(k, (gamma, beta))
+            assert any(h.on_boundary((gamma, beta)) for h in half_spaces(k))
+            for family in BOUNDARY_WITNESSES[k, gamma]:
                 constants = set()
                 for size in (1, 2, 3):
-                    gg = witness.instantiate(size)
+                    gg = family(k, size)
                     alpha = maximum_matching(gg.graph).size
                     constants.add(gamma * gg.graph.vertex_count
                                   + beta * gg.graph.edge_count - alpha)
                 # one constant S: the bound gamma*n + beta*m - S has zero
                 # slack at every instantiated size
-                assert len(constants) == 1, (k, (gamma, beta), witness.kind)
+                assert len(constants) == 1, (k, (gamma, beta), family)
     # spot-value checks on the constants that have closed forms
     ((a3, b3),) = extreme_points(3)
-    for witness in tight_family_for(3, (a3, b3)):
-        gg = witness.instantiate(2)
+    for family in BOUNDARY_WITNESSES[3, a3]:
+        gg = family(3, 2)
         s = a3 * gg.graph.vertex_count + b3 * gg.graph.edge_count \
             - maximum_matching(gg.graph).size
         assert s == F(1, 9)
     mid = (F(-9, 440), F(13, 55))
-    (witness,) = tight_family_for(4, mid)
-    gg = witness.instantiate(2)
+    (family,) = BOUNDARY_WITNESSES[4, mid[0]]
+    gg = family(4, 2)
     s = mid[0] * gg.graph.vertex_count + mid[1] * gg.graph.edge_count \
         - maximum_matching(gg.graph).size
     assert s == F(1, 40)

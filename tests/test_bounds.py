@@ -8,8 +8,7 @@ import pytest
 from matchbound.bounds import (BoundEntry, CoefficientSet, audit_graph,
                                bound_rows, connected_lower_bounds,
                                density_coefficients, evaluate_bounds,
-                               format_decimal, general_coefficients,
-                               kregular_reference_bound, scaled_bound_row)
+                               format_decimal, general_coefficients)
 from matchbound.cli import run_cli
 from matchbound.edgelist import emit_edge_list
 from matchbound.families import (block_chain, canonical_tree,
@@ -143,16 +142,13 @@ def test_connected_bounds_regular_exceptions():
 
 
 def test_kregular_reference_bound():
-    assert kregular_reference_bound(4, 3) == F(15, 9)
-    assert kregular_reference_bound(5, 4) == 2
-    assert kregular_reference_bound(22, 4) == 10
-    assert kregular_reference_bound(100, 4) == F(500, 11)
-    with pytest.raises(ValueError):
-        kregular_reference_bound(4, 4)  # needs n >= k+1
-    with pytest.raises(ValueError):
-        kregular_reference_bound(3, 1)
-    with pytest.raises(ValueError):
-        kregular_reference_bound(5, 3)  # no cubic graph has odd order
+    def reference(g, k):
+        return audit_graph(g, k).entry("regular_reference").value
+
+    assert reference(complete(4), 3) == F(15, 9)
+    assert reference(complete(5), 4) == 2
+    assert reference(circulant(22, (1, 2)), 4) == 10
+    assert reference(circulant(100, (1, 2)), 4) == F(500, 11)
 
 
 def test_subcubic_degree_bound():
@@ -167,9 +163,13 @@ def test_subcubic_degree_bound():
 
 
 def test_scaled_rows():
-    assert scaled_bound_row(3) == (9, 1, 2, 1)
-    assert scaled_bound_row(5) == (55, 2, 9, 2)
-    assert scaled_bound_row(7) == (161, 3, 20, 3)
+    def general(k):
+        row = bound_rows(k).general
+        return row.scale, row.n_coeff, row.m_coeff, row.c_coeff
+
+    assert general(3) == (9, 1, 2, 1)
+    assert general(5) == (55, 2, 9, 2)
+    assert general(7) == (161, 3, 20, 3)
 
 
 def test_format_decimal_half_even():

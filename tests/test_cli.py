@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from matchbound import cli, edgelist
+from matchbound import cli, edgelist, families, fuzz
 from matchbound.cli import run_cli
-from matchbound.edgelist import MAX_VERTICES, EdgeListError, parse_edge_list
+from matchbound.edgelist import EdgeListError, parse_edge_list
+from matchbound.graphs import MAX_VERTICES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -222,6 +223,34 @@ def test_oversized_header_is_rejected_before_building(
     assert f"exceeds the limit of {MAX_VERTICES} vertices" in err
     with pytest.raises(EdgeListError):
         parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
+
+
+def test_oversized_members_and_sweeps_are_rejected_before_building(
+        tmp_path, capsys, monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError(f"build_graph reached with n={n}")
+
+    monkeypatch.setattr(families, "build_graph", refuse)
+    monkeypatch.setattr(fuzz, "build_graph", refuse)
+    # a two-vertex backbone dressed at k = 5001 has k*k + k vertices
+    backbone = write_graph(tmp_path, "edge.el", "2 1\n0 1\n")
+    for argv in (
+            ["fuzz", "--k", "3", "--trials", "1", "--max-n",
+             str(MAX_VERTICES + 1), "--seed", "1"],
+            ["construct", "fkr", "--k", "4", "--r", "100000000"],
+            ["construct", "gkr", "--k", "4", "--r", "10" + "0" * 12],
+            # every block is at least one vertex, but gadgets push n over
+            ["construct", "gkr", "--k", "4", "--r", "1000000"],
+            ["construct", "gkr", "--k", "4", "--r", "2500000",
+             "--blocks", "singles"],
+            ["construct", "hkr", "--k", "3", "--r", "100000000"],
+            ["construct", "hkr", "--k", "3", "--mode", "regular", "--r",
+             "200000001"],
+            ["construct", "hkr", "--k", "5001", "--tree", backbone,
+             "--part2", "1"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"{MAX_VERTICES}" in err, argv
 
 
 def readme_examples():

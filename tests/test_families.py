@@ -3,11 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from matchbound.families import (bipartite_tree, block_chain, canonical_tree,
-                                 complete_minus_edge,
-                                 gadget_chain_average_degree,
-                                 gadget_chain_average_degree_limit,
-                                 regular_gadget_ring, single_link_gadget,
-                                 tree_with_gadgets)
+                                 complete_minus_edge, regular_gadget_ring,
+                                 single_link_gadget, tree_with_gadgets)
 from matchbound.graphs import build_graph, components, degree_profile, is_k_regular
 from matchbound.matching import maximum_matching
 
@@ -113,8 +110,8 @@ def reference_tree():
 
 def test_bipartite_tree_validation():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    bt = bipartite_tree(g, [1, 3])
-    assert bt.part1 == (0, 2)
+    bt = bipartite_tree(g, [3, 1])
+    assert bt.part2 == (1, 3)
     with pytest.raises(ValueError):
         bipartite_tree(g, [1, 2])  # edge (1,2) inside part2
     with pytest.raises(ValueError):
@@ -136,7 +133,8 @@ def test_tree_with_gadgets_closed_forms():
         for r, mode in [(1, "tree"), (2, "tree"), (3, "tree")]:
             bt = canonical_tree(k, r, mode)
             gg = tree_with_gadgets(k, bt)
-            v1, v2 = len(bt.part1), len(bt.part2)
+            v2 = len(bt.part2)
+            v1 = bt.graph.vertex_count - v2
             n_expect = ((k * k + k - 1) * v2 - (k + 1) * v1 + (k + 2))
             assert gg.graph.vertex_count == n_expect
             assert alpha(gg.graph) == gg.predicted_alpha
@@ -208,21 +206,32 @@ def test_regular_gadget_ring_rejects_odd_k():
 
 # --- predicted values ----------------------------------------------------
 
+def average_degree(k, r):
+    g = block_chain(k, r).graph
+    return F(2 * g.edge_count, g.vertex_count)
+
+
+def average_degree_limit(k):
+    """n and m of the all-gadget chain grow by fixed steps in r, so 2m/n
+    tends to 2*dm/dn."""
+    one, two = block_chain(k, 1).graph, block_chain(k, 2).graph
+    return F(2 * (two.edge_count - one.edge_count),
+             two.vertex_count - one.vertex_count)
+
+
 def test_average_degree_of_gadget_chains():
-    assert gadget_chain_average_degree(4, 1) == F(80, 21)
-    limit = gadget_chain_average_degree_limit(4)
+    assert average_degree(4, 1) == F(80, 21)
+    limit = average_degree_limit(4)
     assert limit == 4 - F(2, 16)
     previous = F(0)
     for r in range(1, 40):
-        value = gadget_chain_average_degree(4, r)
+        value = average_degree(4, r)
+        # the closed form of 2m/n from block_chain's predicted n and m
+        assert value == 4 - F(r * 2 + 2, r * 16 + 5)
         assert previous < value < limit
         previous = value
-    # the actual graphs agree with the formula
-    gg = block_chain(4, 2, "gadgets")
-    assert F(2 * gg.graph.edge_count, gg.graph.vertex_count) == \
-        gadget_chain_average_degree(4, 2)
 
 
 def test_average_degree_limit_values():
-    assert gadget_chain_average_degree_limit(6) == 6 - F(4, 36)
-    assert gadget_chain_average_degree_limit(14) == 14 - F(12, 196)
+    assert average_degree_limit(6) == 6 - F(4, 36)
+    assert average_degree_limit(14) == 14 - F(12, 196)

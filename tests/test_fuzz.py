@@ -12,7 +12,8 @@ from matchbound.edgelist import emit_edge_list
 from matchbound.fuzz import (FuzzConfig, FuzzOutcome, FuzzViolation,
                              _drop_non_bridge, _mix, random_connected_bounded,
                              run_fuzz)
-from matchbound.graphs import build_graph, components, degree_profile, is_k_regular
+from matchbound.graphs import (MAX_VERTICES, build_graph, components,
+                               degree_profile, is_k_regular)
 
 
 def test_mix_spreads_streams():
@@ -85,6 +86,9 @@ def test_config_validation():
         FuzzConfig(k=3, trials=0, max_n=8, seed=0)
     with pytest.raises(ValueError):
         FuzzConfig(k=3, trials=1, max_n=1, seed=0)
+    FuzzConfig(k=3, trials=1, max_n=MAX_VERTICES, seed=0)
+    with pytest.raises(ValueError, match="max_n"):
+        FuzzConfig(k=3, trials=1, max_n=MAX_VERTICES + 1, seed=0)
 
 
 def test_run_fuzz_small_sweep():

@@ -5,13 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from matchbound.cli import run_cli
+from matchbound.families import (block_chain, canonical_tree,
+                                 regular_gadget_ring, tree_with_gadgets)
 from matchbound.matching import maximum_matching
-from matchbound.region import (HalfSpace, classify_pair,
-                               classify_pair_geometric, extreme_points,
-                               half_spaces, intersect_boundaries,
-                               polygon_svg, region_polygon,
-                               tight_family_for, transform_good_pair,
-                               TightnessWitness)
+from matchbound.region import (classify_pair, classify_pair_geometric,
+                               extreme_points, half_spaces, polygon_svg,
+                               region_polygon)
 
 BBOX = (F(-1, 4), F(1, 4), F(-1, 2), F(1, 2))
 
@@ -19,6 +18,25 @@ BBOX = (F(-1, 4), F(1, 4), F(-1, 2), F(1, 2))
 def envelope(k, gamma):
     """Largest beta that is still good at this gamma."""
     return min(h.slope * gamma + h.intercept for h in half_spaces(k))
+
+
+def caps_through(k, p):
+    """Indices into half_spaces(k) of the caps whose boundary holds p."""
+    assert classify_pair_geometric(k, p)
+    return [i for i, h in enumerate(half_spaces(k)) if h.on_boundary(p)]
+
+
+# goodness-preserving moves of a coefficient pair p = (a, b), eps >= 0
+SHEARS = {
+    "shift_down": lambda k, a, b, eps: (a, b - eps),
+    "tree_shear": lambda k, a, b, eps: (a + eps, b - eps),
+    "regular_shear": lambda k, a, b, eps: (a - eps * k, b + 2 * eps),
+}
+
+
+def mix(p, q, t):
+    """t*p + (1 - t)*q for 0 <= t <= 1."""
+    return t * p[0] + (1 - t) * q[0], t * p[1] + (1 - t) * q[1]
 
 
 def test_half_space_counts_and_slopes():
@@ -48,14 +66,6 @@ def test_extreme_points_lie_on_their_caps():
             assert classify_pair_geometric(k, p)
 
 
-def test_intersect_boundaries():
-    a = HalfSpace(F(-1), F(1, 3))
-    b = HalfSpace(F(1), F(0))
-    assert intersect_boundaries(a, b) == (F(1, 6), F(1, 6))
-    with pytest.raises(ValueError):
-        intersect_boundaries(a, HalfSpace(F(-1), F(0)))
-
-
 def test_classifiers_agree_on_random_rationals():
     rng = random.Random(7710)
     for _ in range(4000):
@@ -82,84 +92,74 @@ def test_transforms_preserve_goodness():
         p = (gamma, beta)
         assert classify_pair(k, p)
         eps = F(rng.randint(0, 30), 120)
-        for rule in ("shift_down", "tree_shear", "regular_shear"):
-            q = transform_good_pair(k, p, rule, eps)
+        for rule, shear in SHEARS.items():
+            q = shear(k, *p, eps)
             assert classify_pair(k, q), (k, p, rule, eps)
 
 
 def test_mix_rule():
     p1, p2 = extreme_points(4)
-    mid = transform_good_pair(4, p1, "mix", F(1, 2), other=p2)
+    mid = mix(p1, p2, F(1, 2))
     assert mid == (F(-9, 440), F(13, 55))
     assert classify_pair(4, mid)
-    assert transform_good_pair(4, p1, "mix", F(1), other=p2) == p1
-    with pytest.raises(ValueError):
-        transform_good_pair(4, p1, "mix", F(3, 2), other=p2)
-    with pytest.raises(ValueError):
-        transform_good_pair(4, p1, "mix", F(1, 2))
-    with pytest.raises(ValueError):
-        transform_good_pair(4, p1, "stretch", F(1, 2))
-    with pytest.raises(ValueError):
-        transform_good_pair(4, p1, "shift_down", F(-1))
+    assert mix(p1, p2, F(1)) == p1
 
 
 def test_witness_kinds_by_cap():
+    # even k: cap 0 is met by trees, cap 1 by connected k-regular members,
+    # cap 2 by all-gadget chains
     k = 4
     (a1, b1), (a2, b2) = extreme_points(k)
     # interior of the unit-slope segment
     on_l1 = (a1 + F(1, 100), envelope(k, a1 + F(1, 100)))
-    assert [w.kind for w in tight_family_for(k, on_l1)] == ["trees"]
+    assert caps_through(k, on_l1) == [0]
     # interior of the steep regular cap
     on_l3 = (a2 - F(1, 100), envelope(k, a2 - F(1, 100)))
-    assert [w.kind for w in tight_family_for(k, on_l3)] == ["regular"]
+    assert caps_through(k, on_l3) == [1]
     # between the corners
-    on_l4 = (F(-9, 440), F(13, 55))
-    assert [w.kind for w in tight_family_for(k, on_l4)] == ["gadget_chain"]
-    # corners carry two families each
-    assert {w.kind for w in tight_family_for(k, (a1, b1))} == \
-        {"trees", "gadget_chain"}
-    assert {w.kind for w in tight_family_for(k, (a2, b2))} == \
-        {"gadget_chain", "regular"}
+    assert caps_through(k, (F(-9, 440), F(13, 55))) == [2]
+    # corners lie on two caps each
+    assert caps_through(k, (a1, b1)) == [0, 2]
+    assert caps_through(k, (a2, b2)) == [1, 2]
 
 
 def test_witness_kinds_odd_k():
     ((a, b),) = extreme_points(3)
-    assert {w.kind for w in tight_family_for(3, (a, b))} == \
-        {"trees", "regular"}
-    assert tight_family_for(3, (a, b - F(1, 50))) == []
-    assert tight_family_for(3, (a, b + F(1, 50))) == []  # bad point
+    assert caps_through(3, (a, b)) == [0, 1]
+    assert caps_through(3, (a, b - F(1, 50))) == []
+    assert not classify_pair_geometric(3, (a, b + F(1, 50)))
+
+
+def odd_trees(k, size):
+    return tree_with_gadgets(k, canonical_tree(k, size, "tree"))
+
+
+def odd_regular(k, size):
+    return tree_with_gadgets(
+        k, canonical_tree(k, (k - 1) * size + 1, "regular"))
 
 
 def test_witnesses_meet_their_bound_with_constant_slack():
     # instantiating a witness at growing sizes keeps gamma*n + beta*m - alpha'
     # pinned to a single constant
     cases = [
-        (3, (F(1, 5), envelope(3, F(1, 5)))),          # trees, odd k
-        (4, (F(1, 10), envelope(4, F(1, 10)))),        # trees, even k
-        (4, (F(-9, 440), F(13, 55))),                  # gadget chains
-        (3, (F(0), envelope(3, F(0)))),                # regular, odd k
-        (4, (F(-1, 11) - F(1, 90), None)),             # regular, even k
+        (3, (F(1, 5), envelope(3, F(1, 5))), odd_trees),
+        (4, (F(1, 10), envelope(4, F(1, 10))),
+         lambda k, size: block_chain(k, size, "singles")),
+        (4, (F(-9, 440), F(13, 55)), block_chain),     # all-gadget chains
+        (3, (F(0), envelope(3, F(0))), odd_regular),
+        (4, (F(-1, 11) - F(1, 90), envelope(4, F(-1, 11) - F(1, 90))),
+         regular_gadget_ring),
     ]
-    for k, (gamma, beta) in cases:
-        if beta is None:
-            beta = envelope(k, gamma)
-        wits = tight_family_for(k, (gamma, beta))
-        assert wits, (k, gamma, beta)
-        for w in wits:
-            values = []
-            for i in (1, 2, 3):
-                gg = w.instantiate(i)
-                a = maximum_matching(gg.graph).size
-                values.append(gamma * gg.graph.vertex_count
-                              + beta * gg.graph.edge_count - a)
-            assert values[0] == values[1] == values[2], (k, w.kind, values)
-
-
-def test_witness_instantiate_rejects_bad_index():
-    with pytest.raises(ValueError):
-        TightnessWitness("trees", 4).instantiate(0)
-    with pytest.raises(ValueError):
-        TightnessWitness("meadow", 4).instantiate(1)
+    for k, (gamma, beta), family in cases:
+        assert caps_through(k, (gamma, beta)), (k, gamma, beta)
+        values = []
+        for i in (1, 2, 3):
+            gg = family(k, i)
+            a = maximum_matching(gg.graph).size
+            values.append(gamma * gg.graph.vertex_count
+                          + beta * gg.graph.edge_count - a)
+        assert values[0] == values[1] == values[2], (k, gamma, values)
 
 
 def test_region_polygon_k4():
