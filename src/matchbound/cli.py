@@ -126,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     f = fam.add_parser("hkr", help="tree with gadget copies on one side")
     f.add_argument("--k", type=int, required=True)
-    f.add_argument("--mode", choices=("tree", "regular"), default="tree",
-                   help="canonical backbone shape (with --r)")
+    f.add_argument("--mode", choices=("tree", "regular"),
+                   help="canonical backbone shape (with --r; default tree)")
     f.add_argument("--r", type=int,
                    help="size parameter of the canonical backbone")
     f.add_argument("--tree", metavar="FILE",
@@ -265,8 +265,9 @@ def _build_family(args: argparse.Namespace) -> GeneratedGraph:
     if args.family == "fkr":
         return regular_gadget_ring(args.k, args.r)
     if args.tree is not None:
-        if args.r is not None:
-            raise ValueError("construct hkr takes --tree or --r, not both")
+        if args.r is not None or args.mode is not None:
+            raise ValueError(
+                "construct hkr takes --tree or --r/--mode, not both")
         backbone = _read_graph(args.tree)
         if args.part2 is not None:
             part2 = [int(s) for s in args.part2.split(",")]
@@ -279,7 +280,8 @@ def _build_family(args: argparse.Namespace) -> GeneratedGraph:
     if args.r is None:
         raise ValueError("construct hkr needs --r (or an explicit --tree)")
     return tree_with_gadgets(args.k,
-                             canonical_tree(args.k, args.r, args.mode))
+                             canonical_tree(args.k, args.r,
+                                            args.mode or "tree"))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -299,6 +301,8 @@ def _parse_rationals(text: str, count: int, what: str) -> list[Fraction]:
 
 def _cmd_region(args: argparse.Namespace) -> int:
     k = args.k
+    if args.bbox is not None and not (args.polygon or args.svg):
+        raise ValueError("region takes --bbox only with --polygon or --svg")
     acted = False
     if args.point is not None:
         gamma, beta = _parse_rationals(args.point, 2, "--point")

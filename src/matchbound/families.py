@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from matchbound.graphs import (MAX_VERTICES, Graph, build_graph, components,
-                               degree_profile)
+from matchbound.graphs import (MAX_EDGES, MAX_VERTICES, Graph, build_graph,
+                               components, degree_profile)
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,12 @@ class GeneratedGraph:
         assert self.graph.edge_count == self.predicted_m
 
 
-def _check_order(n: int) -> None:
-    """Refuse a member above MAX_VERTICES before any of it is built."""
-    if n > MAX_VERTICES:
-        raise ValueError(f"the member would have at least {n} vertices, "
-                         f"above the limit of {MAX_VERTICES}")
+def _check_size(n: int, m: int) -> None:
+    """Refuse a member over MAX_VERTICES or MAX_EDGES before it is built."""
+    if n > MAX_VERTICES or m > MAX_EDGES:
+        raise ValueError(f"the member would have at least {n} vertices and "
+                         f"{m} edges, above the limit of {MAX_VERTICES} "
+                         f"vertices or {MAX_EDGES} edges")
 
 
 def complete_minus_edge(k: int) -> GeneratedGraph:
@@ -110,17 +111,18 @@ def block_chain(k: int, r: int, blocks: str = "gadgets") -> GeneratedGraph:
     if r < 1:
         raise ValueError(f"block_chain needs r >= 1, got {r}")
     length = r * (k - 1) + 1
-    # every block is at least one vertex: refuse a huge r before the block
-    # pattern is expanded
-    _check_order(r + length)
+    # every block is at least one vertex and every connector has k edges:
+    # refuse a huge r before the block pattern is expanded
+    _check_size(r + length, r * k)
     flags = _parse_blocks(blocks, length)
     gadget_count = sum(flags)
     n = r + length + gadget_count * k
-    _check_order(n)
     m = r * k + gadget_count * (k * (k + 1) // 2 - 1)
+    _check_size(n, m)
     alpha = r + gadget_count * k // 2
 
-    gadget = complete_minus_edge(k).graph.edges()
+    # a gadget of a large k alone may exceed the limits: build it only if used
+    gadget = complete_minus_edge(k).graph.edges() if gadget_count else []
     edges: list[tuple[int, int]] = []
     link_vertices: list[int] = []
     attach: list[list[int]] = []  # per block: unused attachment points
@@ -189,7 +191,7 @@ def canonical_tree(k: int, r: int, mode: str) -> BipartiteTree:
     else:
         spine_size = r
     # every edge has exactly one spine end, and spine vertices have degree k
-    _check_order(k * spine_size + 1)
+    _check_size(k * spine_size + 1, k * spine_size)
 
     # spine vertices 0..spine_size-1 all get degree k: consecutive spine
     # vertices share a connector, the rest is leaf padding
@@ -231,12 +233,14 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
     n2 = len(tree.part2)
     n1 = base.vertex_count - n2
     n = (k * k + k - 1) * n2 - (k + 1) * n1 + (k + 2)
-    _check_order(n)
     m = ((k ** 3 + k * k - k + 1) * n2 - (k * k + 2 * k - 1) * n1
          + (k * k + 2 * k - 1)) // 2
+    _check_size(n, m)
     alpha = ((k * k + 1) * n2 - (k + 1) * n1 + (k + 1)) // 2
 
-    gadget = single_link_gadget(k).graph
+    # a gadget of a large k alone may exceed the limits: build it only if used
+    gadget = (single_link_gadget(k).graph.edges()
+              if n > base.vertex_count else [])
     edges = list(base.edges())
     link_vertices: list[int] = []
     next_id = base.vertex_count
@@ -244,7 +248,7 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
         for _ in range(k - base.degree(x)):
             offset = next_id
             next_id += k + 2
-            edges.extend((offset + u, offset + v) for u, v in gadget.edges())
+            edges.extend((offset + u, offset + v) for u, v in gadget)
             edges.append((x, offset))
             link_vertices.append(offset)
     g = build_graph(next_id, edges)
@@ -263,8 +267,8 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
     if r < 1:
         raise ValueError(f"regular_gadget_ring needs r >= 1, got {r}")
     n = r + (k * r // 2) * (k + 1)
-    _check_order(n)
     m = r * k + k * r * (k * k + k - 2) // 4
+    _check_size(n, m)
     alpha = r + k * k * r // 4
 
     gadget = complete_minus_edge(k).graph.edges()

@@ -1,11 +1,9 @@
 """Undirected simple graphs and the structural queries everything else uses.
 
 Graphs are immutable after construction: dense 0-based vertex ids and sorted
-adjacency tuples, O(n + m) in all. The per-vertex neighborhood bitmasks
-(plain ints) behind the masked odd-component count below take O(n^2) bits,
-so they are built on first use. This module is the only one that walks a
-graph: a single BFS builds the cached :class:`Structure` that components,
-degrees and regularity are read from.
+adjacency tuples, O(n + m) in all. The structural queries walk a graph only
+by one BFS, which builds the cached :class:`Structure` that components,
+degrees, regularity and odd components of G - X are read from.
 """
 
 from __future__ import annotations
@@ -19,6 +17,9 @@ from typing import Iterable, Mapping, NamedTuple
 # at about 233 bytes per vertex even without edges, so this caps one graph
 # at about 2.3 GB.
 MAX_VERTICES = 10 ** 7
+# Largest size a generator may ask for: a member's graph peaks at 130-210
+# bytes per edge (tracemalloc, m/n 4 to 20), so this caps it at about 2.1 GB.
+MAX_EDGES = 10 ** 7
 
 
 class GraphError(ValueError):
@@ -48,8 +49,8 @@ class Graph:
     @cached_property
     def nbr_masks(self) -> tuple[int, ...]:
         """Neighborhood bitmasks: bit u of nbr_masks[v] is set iff {u,v} is
-        an edge. Built on first use; only :func:`odd_component_count` reads
-        them."""
+        an edge. They take O(n^2) bits, so they are built on first use; no
+        package code reads them any more (bench/run.py reports their size)."""
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adjacency)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -146,41 +147,20 @@ def degree_profile(g: Graph) -> Structure:
     return g.structure
 
 
-def odd_component_count(nbr_masks: tuple[int, ...], vertex_mask: int) -> int:
-    """Number of odd-order components of the subgraph on `vertex_mask`.
-
-    Floods one component at a time through the neighborhood bitmasks, so
-    nothing is rebuilt for a vertex subset.
-    """
-    remaining = vertex_mask
-    odd = 0
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            reach = 0
-            t = frontier
-            while t:
-                bit = t & -t
-                t ^= bit
-                reach |= nbr_masks[bit.bit_length() - 1]
-            frontier = reach & remaining & ~comp
-            comp |= frontier
-        remaining ^= comp
-        odd += comp.bit_count() & 1
-    return odd
-
-
 def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
-    """Number of odd-order components of the graph with `deleted` removed."""
-    blocked = 0
+    """Number of odd-order components of the graph with `deleted` removed.
+
+    Read off the :attr:`Graph.structure` of G - X kept on all n vertices, in
+    which each deleted vertex is an odd singleton, subtracted again."""
+    n = g.vertex_count
+    gone: set[int] = set()
     for v in deleted:
-        if not 0 <= v < g.vertex_count:
-            raise GraphError(f"vertex {v} out of range for n={g.vertex_count}")
-        blocked |= 1 << v
-    return odd_component_count(g.nbr_masks,
-                               (1 << g.vertex_count) - 1 & ~blocked)
+        if not 0 <= v < n:
+            raise GraphError(f"vertex {v} out of range for n={n}")
+        gone.add(v)
+    rest = build_graph(n, [(u, v) for u, v in g.edges()
+                           if u not in gone and v not in gone])
+    return sum(s & 1 for s in rest.structure.component_sizes) - len(gone)
 
 
 class Regularity(NamedTuple):

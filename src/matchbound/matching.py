@@ -11,7 +11,8 @@ Two independent routes to the matching number:
   over the adjacency in all sets in parallel, in blocks of 2^BLOCK_BITS
   sets. Usable only for small graphs, but it reads nothing but the
   adjacency and shares no code or ideas with the blossom side (nor with
-  :mod:`graphs`' odd-component count), so it can audit both.
+  the BFS that :func:`graphs.odd_components_after_deletion` counts
+  oc(G - X) by), so it can audit both.
 
 Both are deterministic for a fixed input encoding.
 """

@@ -15,7 +15,8 @@ from matchbound.bounds import audit_graph, bound_rows, format_decimal
 from matchbound.families import (bipartite_tree, block_chain, canonical_tree,
                                  regular_gadget_ring, tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, random_connected_bounded, run_fuzz
-from matchbound.graphs import build_graph, components, is_k_regular
+from matchbound.graphs import (build_graph, components, is_k_regular,
+                               odd_components_after_deletion)
 from matchbound.matching import maximum_matching, tutte_berge, verify_matching
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces)
@@ -67,6 +68,32 @@ def test_matching_solves_extremal_families_at_100k_vertices():
         assert m.size == gg.predicted_alpha
         assert verify_matching(gg.graph, m)
     assert time.monotonic() - start < 15
+
+
+def test_odd_components_after_deletion_at_100k_vertices():
+    g = block_chain(4, 6250).graph
+    assert g.vertex_count == 100_005
+    deleted = range(0, g.vertex_count, 7)
+    start = time.monotonic()
+    odd = odd_components_after_deletion(g, deleted)
+    assert time.monotonic() - start < 2
+    assert "nbr_masks" not in vars(g)
+    # a test-local count: flood each component of G - X from a stack
+    seen = set(deleted)
+    expected = 0
+    for v in range(g.vertex_count):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, size = [v], 0
+        while stack:
+            size += 1
+            for u in g.adjacency[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        expected += size % 2
+    assert odd == expected
 
 
 def test_mixed_block_chain_reproduces_the_reference_instance():

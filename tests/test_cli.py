@@ -6,7 +6,7 @@ import pytest
 from matchbound import cli, edgelist, families, fuzz
 from matchbound.cli import run_cli
 from matchbound.edgelist import EdgeListError, parse_edge_list
-from matchbound.graphs import MAX_VERTICES
+from matchbound.graphs import MAX_EDGES, MAX_VERTICES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -133,6 +133,9 @@ def test_construct_hkr_flag_conflicts(tmp_path, capsys):
     code, out, err = invoke(capsys, "construct", "hkr", "--k", "3",
                             "--r", "3", "--part2", "0")
     assert code == 2 and "--part2 only with --tree" in err and out == ""
+    code, out, err = invoke(capsys, "construct", "hkr", "--k", "3",
+                            "--tree", tree, "--mode", "regular")
+    assert code == 2 and "not both" in err and out == ""
 
 
 def test_construct_dot_output(capsys):
@@ -179,6 +182,14 @@ def test_region_rejects_bad_points(capsys):
     assert invoke(capsys, "region", "--k", "4", "--point", "1/0,2")[0] == 2
     assert invoke(capsys, "region", "--k", "4", "--point", "5")[0] == 2
     assert invoke(capsys, "region", "--k", "2", "--point", "0,0")[0] == 2
+
+
+def test_region_takes_bbox_only_with_an_output(capsys):
+    for argv in (["--bbox", "garbage"], ["--point", "0,0", "--bbox", "1,2"],
+                 ["--bbox", "-1/4,1/4,-1/2,1/2"]):
+        code, out, err = invoke(capsys, "region", "--k", "4", *argv)
+        assert code == 2 and out == "", argv
+        assert "--bbox only with --polygon or --svg" in err, argv
 
 
 def test_fuzz_command(capsys):
@@ -251,6 +262,23 @@ def test_oversized_members_and_sweeps_are_rejected_before_building(
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == "", argv
         assert f"{MAX_VERTICES}" in err, argv
+
+
+def test_members_with_too_many_edges_are_rejected_before_building(
+        tmp_path, capsys, monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError(f"build_graph reached with n={n}")
+
+    monkeypatch.setattr(families, "build_graph", refuse)
+    backbone = write_graph(tmp_path, "edge.el", "2 1\n0 1\n")
+    # each has fewer than MAX_VERTICES vertices but over MAX_EDGES edges
+    for argv in (["construct", "fkr", "--k", "1000", "--r", "2"],
+                 ["construct", "gkr", "--k", "3000", "--r", "1"],
+                 ["construct", "hkr", "--k", "1001", "--tree", backbone,
+                  "--part2", "1"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"{MAX_EDGES} edges" in err, argv
 
 
 def readme_examples():

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from matchbound import families
 from matchbound.families import (bipartite_tree, block_chain, canonical_tree,
                                  complete_minus_edge, regular_gadget_ring,
                                  single_link_gadget, tree_with_gadgets)
@@ -177,6 +178,19 @@ def test_regular_mode_sizes_follow_the_arithmetic():
     gg = tree_with_gadgets(5, canonical_tree(5, 5, "regular"))
     assert is_k_regular(gg.graph, 5).overall
     assert alpha(gg.graph) == gg.predicted_alpha
+
+
+def test_members_without_gadgets_build_none(monkeypatch):
+    # a gadget alone has about k*k/2 edges, more than such a member
+    def refuse(k):
+        raise AssertionError(f"gadget built for k={k}")
+
+    monkeypatch.setattr(families, "complete_minus_edge", refuse)
+    monkeypatch.setattr(families, "single_link_gadget", refuse)
+    chain = block_chain(6, 2, "singles")
+    assert chain.graph.edge_count == chain.predicted_m == 12
+    star = tree_with_gadgets(5, canonical_tree(5, 1, "tree"))
+    assert star.graph.edge_count == star.predicted_m == 5
 
 
 # --- regular rings ------------------------------------------------------

@@ -63,6 +63,10 @@ def test_odd_components_after_deletion():
     assert odd_components_after_deletion(p5, [1]) == 2
     assert odd_components_after_deletion(p5, []) == 1
     assert odd_components_after_deletion(p5, [0, 1, 2, 3, 4]) == 0
+    # G - X is read off its own BFS, not off neighbourhood bitmasks
+    assert "nbr_masks" not in vars(p5)
+    with pytest.raises(GraphError, match="vertex 5 out of range"):
+        odd_components_after_deletion(p5, [1, 5, -1])
 
 
 def test_degree_profile_counts():
@@ -109,6 +113,27 @@ def test_odd_component_count_matches_partition(g):
     assert odd_components_after_deletion(g, []) == odd
     # deleting everything leaves nothing
     assert odd_components_after_deletion(g, range(g.vertex_count)) == 0
+
+
+@given(small_graphs(), st.data())
+def test_odd_components_after_deletion_matches_a_plain_count(g, data):
+    n = g.vertex_count
+    deleted = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)
+                        if n else st.just([]))  # repeats allowed
+    kept = set(range(n)) - set(deleted)
+    # reachable sets inside G - X by repeated expansion
+    odd = 0
+    while kept:
+        seen = {min(kept)}
+        grown = True
+        while grown:
+            more = {u for w in seen for u in g.adjacency[w]} & kept - seen
+            seen |= more
+            grown = bool(more)
+        odd += len(seen) % 2
+        kept -= seen
+    assert odd_components_after_deletion(g, deleted) == odd
+    assert odd_components_after_deletion(g, iter(deleted)) == odd
 
 
 @given(small_graphs())

@@ -102,7 +102,7 @@ def test_tutte_berge_witness_is_lex_least():
 
 def test_witness_attains_the_value():
     # the check the benchmark makes on every oracle-certify op: graphs' own
-    # bitmask flood counts oc(G - X) for the witness the oracle found
+    # BFS counts oc(G - X) for the witness the oracle found
     for g in [circulant(9, (1, 2))] + oracle_golden_graphs():
         cert = tutte_berge(g)
         oc = odd_components_after_deletion(g, cert.witness)
