@@ -4,11 +4,25 @@ Format: '#' starts a comment (whole line or trailing); the first
 significant line is "n m"; exactly m lines "u v" with 0 <= u < v < n
 follow. Emission sorts edges lexicographically, so parse/emit round-trips
 to the identical byte string. Parse errors carry 1-based line numbers.
+
+Two routes give the same result. A text made only of lines of two ASCII
+numbers one space apart, each ended by a newline, as every emitted text
+is, takes the bulk route: one split of the whole text, the header checks,
+one u < v check over all edges, then `build_graph`. Any other text, and
+any text the bulk route finds a fault in, is parsed line by line, which
+names the faulty line.
 """
 
 from __future__ import annotations
 
-from matchbound.graphs import MAX_VERTICES, Graph, GraphError, build_graph
+from itertools import islice
+from operator import lt
+from typing import Iterator
+
+from matchbound.graphs import (MAX_EDGES, MAX_VERTICES, Graph, GraphError,
+                               build_graph)
+
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
 
 
 class EdgeListError(ValueError):
@@ -16,15 +30,48 @@ class EdgeListError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
-    if not rows:
+    if _is_canonical(text):
+        g = _parse_bulk(text)
+        if g is not None:
+            return g
+    return _parse_lines(text)
+
+
+def _is_canonical(text: str) -> bool:
+    """Whether text is only lines of two ASCII numbers one space apart, each
+    ended by a newline: with the ASCII digits dropped, exactly " \\n" per
+    line is left, and no number is empty. Digits such as '٣', which int()
+    reads, are left too. A regex with a repeated group would need about 200
+    bytes of backtracking state per line; this check copies the text once."""
+    shape = text.translate(_DROP_DIGITS)
+    return (len(shape) == 2 * shape.count(" \n")
+            and text.endswith("\n") and not text.startswith(" ")
+            and "\n " not in text and " \n" not in text)
+
+
+def _parse_bulk(text: str) -> Graph | None:
+    """The graph of a canonical text, or None where the text is at fault."""
+    head = text.index("\n")
+    n, m = map(int, text[:head].split())
+    if n > MAX_VERTICES or m > MAX_EDGES or text.count("\n") != m + 1:
+        return None
+    ends = list(map(int, text[head:].split()))
+    us, vs = ends[0::2], ends[1::2]
+    if not all(map(lt, us, vs)):
+        return None
+    try:
+        return build_graph(n, zip(us, vs))
+    except GraphError:
+        return None
+
+
+def _parse_lines(text: str) -> Graph:
+    rows = _rows(text)
+    header = next(rows, None)
+    if header is None:
         raise EdgeListError("no header line found")
 
-    lineno, fields = rows[0]
+    lineno, fields = header
     if len(fields) != 2:
         raise EdgeListError(
             f"line {lineno}: header must be 'n m', got {' '.join(fields)!r}")
@@ -38,11 +85,15 @@ def parse_edge_list(text: str) -> Graph:
     if n > MAX_VERTICES:
         raise EdgeListError(f"line {lineno}: n={n} exceeds the limit of "
                             f"{MAX_VERTICES} vertices")
+    if m > MAX_EDGES:
+        raise EdgeListError(f"line {lineno}: m={m} exceeds the limit of "
+                            f"{MAX_EDGES} edges")
 
-    body_rows = rows[1:]
+    # one row past the promise is enough to know the promise is broken
+    body_rows = list(islice(rows, m + 1))
     if len(body_rows) != m:
-        raise EdgeListError(
-            f"header promises {m} edge lines, found {len(body_rows)}")
+        found = len(body_rows) + sum(1 for _ in rows)
+        raise EdgeListError(f"header promises {m} edge lines, found {found}")
 
     edges: list[tuple[int, int]] = []
     for lineno, fields in body_rows:
@@ -67,6 +118,26 @@ def parse_edge_list(text: str) -> Graph:
         # every pair passed the checks above, so the error names one pair
         raise EdgeListError(
             f"line {body_rows[exc.index][0]}: {exc}") from None
+
+
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each significant line, read as needed."""
+    for lineno, raw in enumerate(_lines(text), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body.split()
+
+
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), split about 64 kB at a time, so that nothing far
+    past the header is split before the header is checked. Each piece ends
+    just after a newline, so no line, and no \\r\\n, is cut in two."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + 65536)
+        end = len(text) if cut < 0 else cut + 1
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -14,11 +14,14 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 # Largest order an input or a generator may ask for: building a graph peaks
-# at about 233 bytes per vertex even without edges, so this caps one graph
-# at about 2.3 GB.
+# at about 73 bytes per vertex even without edges (tracemalloc, n = 10^6),
+# so this caps the vertices of one graph at about 0.7 GB.
 MAX_VERTICES = 10 ** 7
-# Largest size a generator may ask for: a member's graph peaks at 130-210
-# bytes per edge (tracemalloc, m/n 4 to 20), so this caps it at about 2.1 GB.
+# Largest size an input or a generator may ask for. Beyond its vertices,
+# build_graph peaks at 65-105 bytes per edge, and a whole generated member
+# or parsed edge list at 190-300 (tracemalloc, m/n 1 to 20; the generator's
+# own edge list and the parser's integers included, the text not), so this
+# caps one graph at about 3.7 GB with MAX_VERTICES.
 MAX_EDGES = 10 ** 7
 
 
@@ -97,23 +100,54 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Rejects loops, duplicate pairs (in either orientation) and out-of-range
     ids, naming the offending pair and its position in the error.
+
+    One bucket step builds the adjacency: each pair is appended to the lists
+    of both ends, and each list is sorted, which takes linear time on the
+    lexicographically sorted pairs every generator and edge list gives.
+    Pairs that all have u < v are checked from the sorted lists and one set
+    of pairs; any other input, and any defect, is re-scanned in input order,
+    so the error names the first defect.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    m = 0
-    for u, v in edges:
-        # m pairs were accepted so far, so m is this pair's position
+    pairs = list(edges)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    oriented = True
+    try:
+        for u, v in pairs:
+            if not u < v:
+                oriented = False
+            adj[u].append(v)
+            adj[v].append(u)
+    except IndexError:
+        oriented = False  # an id out of range: the re-scan names it
+    for nbrs in adj:
+        nbrs.sort()
+    # a negative id indexes a list from the end, but it is also appended to
+    # the list of its partner, where it sorts first
+    clean = oriented and min(filter(None, adj), default=[0])[0] >= 0
+    if clean:
+        try:
+            clean = len(set(pairs)) == len(pairs)
+        except TypeError:  # unhashable pairs, such as lists
+            clean = False
+    if not clean:
+        _check_in_order(n, pairs)
+    return Graph(n, tuple(map(tuple, adj)), len(pairs))
+
+
+def _check_in_order(n: int, pairs: list[tuple[int, int]]) -> None:
+    """Raise GraphError for the first defective pair, if there is one."""
+    seen: list[set[int]] = [set() for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}", m)
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}", i)
         if u == v:
-            raise GraphError(f"loop edge ({u}, {v}) not allowed", m)
-        if v in adj[u]:
-            raise GraphError(f"duplicate edge ({u}, {v})", m)
-        adj[u].add(v)
-        adj[v].add(u)
-        m += 1
-    return Graph(n, tuple(tuple(sorted(s)) for s in adj), m)
+            raise GraphError(f"loop edge ({u}, {v}) not allowed", i)
+        if v in seen[u]:
+            raise GraphError(f"duplicate edge ({u}, {v})", i)
+        seen[u].add(v)
+        seen[v].add(u)
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,27 @@ def test_oversized_header_is_rejected_before_building(
         parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
 
 
+def test_oversized_edge_count_is_rejected_before_the_body_is_read(
+        tmp_path, capsys, monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError(f"build_graph reached with n={n}")
+
+    monkeypatch.setattr(edgelist, "build_graph", refuse)
+    # a faulty second line would be reported if the body were read first
+    for body in ("0 1\n" * 3, "nope\n", "0 1\n1 0\n"):
+        path = write_graph(tmp_path, "many.el", f"5 {MAX_EDGES + 1}\n{body}")
+        code, out, err = invoke(capsys, "matching", path)
+        assert code == 2 and out == ""
+        assert err == (f"error: line 1: m={MAX_EDGES + 1} exceeds the limit "
+                       f"of {MAX_EDGES} edges\n")
+    with pytest.raises(EdgeListError, match=f"limit of {MAX_EDGES} edges"):
+        parse_edge_list(f"# intro\n5 {MAX_EDGES + 1} # comment\n")
+    monkeypatch.undo()
+    # the limit itself is allowed: what fails is the missing lines
+    with pytest.raises(EdgeListError, match=f"promises {MAX_EDGES} edge"):
+        parse_edge_list(f"5 {MAX_EDGES}\n0 1\n")
+
+
 def test_oversized_members_and_sweeps_are_rejected_before_building(
         tmp_path, capsys, monkeypatch):
     def refuse(n, edges):

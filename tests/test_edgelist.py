@@ -1,9 +1,13 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
+import tracemalloc
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from matchbound import edgelist
 from matchbound.edgelist import (EdgeListError, emit_edge_list,
                                  parse_edge_list, to_dot)
-from matchbound.graphs import build_graph
+from matchbound.graphs import Graph, build_graph
 
 
 def test_parse_basic():
@@ -81,3 +85,170 @@ def test_dot_output():
     g = build_graph(4, [(0, 1), (1, 2)])
     dot = to_dot(g)
     assert dot == "graph {\n  3;\n  0 -- 1;\n  1 -- 2;\n}\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except EdgeListError as exc:
+        return str(exc)
+
+
+def routes_agree(text):
+    """Both parse routes give the same Graph or the same message."""
+    by_lines = parse_outcome(edgelist._parse_lines, text)
+    assert parse_outcome(parse_edge_list, text) == by_lines
+    if edgelist._is_canonical(text):
+        # the bulk route accepts exactly what the line route accepts
+        expected = by_lines if isinstance(by_lines, Graph) else None
+        assert edgelist._parse_bulk(text) == expected
+    return by_lines
+
+
+@given(graphs())
+def test_emitted_text_takes_the_bulk_route(g):
+    text = emit_edge_list(g)
+    assert edgelist._is_canonical(text)
+    assert edgelist._parse_bulk(text) == g
+    assert routes_agree(text) == g
+
+
+def _token_edit(edit):
+    """A mutation that rewrites the first field of a line with `edit`."""
+    def mutate(lines, i, x):
+        fields = lines[i].split(" ")
+        fields[0] = edit(fields[0], x)
+        lines[i] = " ".join(fields)
+    return mutate
+
+
+LINE_MUTATIONS = {
+    # faults that the format rejects
+    "swap": lambda lines, i, x: lines.__setitem__(
+        i, " ".join(reversed(lines[i].split(" ")))),
+    "duplicate": lambda lines, i, x: lines.insert(i, lines[i]),
+    # graphs() has at most 10 vertices, so id 11 is always out of range
+    "out_of_range": lambda lines, i, x: lines.__setitem__(
+        i, "%d %d" % (x, 11 + x)),
+    "drop": lambda lines, i, x: lines.pop(i),
+    "extra": lambda lines, i, x: lines.append("%d %d" % (x, x + 1)),
+    "three_fields": lambda lines, i, x: lines.__setitem__(
+        i, lines[i] + " %d" % x),
+    "letter": _token_edit(lambda tok, x: tok + "x"),
+    "header_m": lambda lines, i, x: lines.__setitem__(
+        0, "%s %d" % (lines[0].split(" ")[0], len(lines) - 2 + x)),
+    # texts outside the canonical shape
+    "comment": lambda lines, i, x: lines.__setitem__(i, lines[i] + " # c"),
+    "comment_line": lambda lines, i, x: lines.insert(i, "# c %d" % x),
+    "blank": lambda lines, i, x: lines.insert(i, " " * (x % 3)),
+    "tab": lambda lines, i, x: lines.__setitem__(
+        i, lines[i].replace(" ", "\t")),
+    "spaces": lambda lines, i, x: lines.__setitem__(
+        i, " %s  " % lines[i].replace(" ", "  ")),
+    "leading_zero": _token_edit(lambda tok, x: "0" * (x % 3 + 1) + tok),
+    "plus": _token_edit(lambda tok, x: "+" + tok),
+    "underscore": _token_edit(
+        lambda tok, x: tok[:1] + "_" + tok[1:] if len(tok) > 1 else tok),
+    "non_ascii": _token_edit(
+        lambda tok, x: "".join(chr(0x660 + int(c)) if c.isdigit() else c
+                               for c in tok)),
+}
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Emitted texts with a few line mutations and a drawn line ending."""
+    lines = emit_edge_list(draw(graphs())).splitlines()
+    for name in draw(st.lists(st.sampled_from(sorted(LINE_MUTATIONS)),
+                              max_size=3)):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if lines or name == "extra":
+            LINE_MUTATIONS[name](lines, i, draw(st.integers(0, 12)))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    final = draw(st.sampled_from([newline, newline, ""]))
+    return newline.join(lines) + final
+
+
+@given(edge_list_texts())
+def test_parse_routes_agree_on_mutated_texts(text):
+    routes_agree(text)
+
+
+def test_parse_routes_agree_on_each_single_mutation():
+    g = build_graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)])
+    base = emit_edge_list(g).splitlines()
+    outcomes = set()
+    for name, mutate in sorted(LINE_MUTATIONS.items()):
+        for i in range(len(base)):
+            for x in (0, 3, 12):
+                lines = list(base)
+                mutate(lines, i, x)
+                # also with the header's m set to the number of lines
+                recounted = [f"{lines[0].split(' ')[0]} {len(lines) - 1}"]
+                for text in (lines, recounted + lines[1:]):
+                    for newline in ("\n", "\r\n"):
+                        outcome = routes_agree(newline.join(text) + newline)
+                        outcomes.add(outcome if isinstance(outcome, str)
+                                     else "graph")
+    # every kind of fault the format names is among them
+    for fault in ("u < v", "duplicate edge", "out of range", "promises",
+                  "edge must be 'u v'", "must be integers"):
+        assert any(fault in o for o in outcomes), fault
+
+
+def test_a_canonical_text_over_the_edge_limit_is_not_read_in_bulk(
+        monkeypatch):
+    monkeypatch.setattr(edgelist, "MAX_EDGES", 2)
+    assert parse_edge_list("4 2\n0 1\n2 3\n").edge_count == 2
+    with pytest.raises(EdgeListError,
+                       match="line 1: m=3 exceeds the limit of 2 edges"):
+        parse_edge_list("4 3\n0 1\n1 2\n2 3\n")
+
+
+def test_lines_past_the_promised_count_are_counted_not_kept():
+    text = "2 1\n0 1\n" + "0 1\n" * 400_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListError,
+                           match="promises 1 edge lines, found 400001"):
+            parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one copy of the text for the shape check and one piece of lines at a
+    # time; every line and row of the text at once take about 75 times it
+    assert peak < 4 * len(text)
+
+
+@pytest.mark.parametrize("text", [
+    "3 1\n0 1 # c\n", "# c\n3 1\n0 1\n", "3 1\n\n0 1\n", "3 1\r\n0 1\r\n",
+    "3 1\n0\t1\n", "3 1\n0 1", "3 1\n+0 1\n", "13 1\n1_0 12\n",
+    "3 1\n0 \u0662\n", "3 1\n0 1\n\u2028", " 3 1\n0 1\n"])
+def test_texts_outside_the_canonical_shape_take_the_line_route(text):
+    # int() accepts all of these, and a regex \d matches the non-ASCII digit
+    assert not edgelist._is_canonical(text)
+    assert isinstance(routes_agree(text), Graph)
+
+
+@given(st.text(alphabet="07 \n\r\t#+\u0663", max_size=16))
+@example("3 1\n 2\n")
+@example("3 1\n0 2\n0")
+@example("3 1\n2 \n")
+@example(" 3\n")
+@example("3 \u0663\n")
+@example("\n")
+@example("")
+def test_canonical_shape_is_lines_of_two_ascii_numbers(text):
+    shape = re.fullmatch(r"(?:[0-9]+ [0-9]+\n)+", text)
+    assert edgelist._is_canonical(text) == (shape is not None)
+
+
+def test_line_route_reads_lines_as_splitlines_does():
+    text = "a\r\nb\rc\x0bd\x0ce\x1cf\x1dg\x1eh\x85i\u2028j\u2029k\n\nl"
+    for long in ("", "x" * 70_000, "\r\n" * 40_000, ("y" * 9 + "\r\n") * 9000):
+        for piece in (text, long + text, text + long, long + text + long):
+            assert list(edgelist._lines(piece)) == piece.splitlines()
+            assert list(edgelist._lines(piece + "\n")) == (
+                piece + "\n").splitlines()
+    with pytest.raises(EdgeListError, match="line 14: edge must be"):
+        parse_edge_list("# \u2028# \x85#\r\n" * 3 + "\x0c\x1c 3 1\n\r\n0 1 2")

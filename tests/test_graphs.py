@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from matchbound.graphs import (GraphError, build_graph, components,
+from matchbound.graphs import (Graph, GraphError, build_graph, components,
                                degree_profile, is_k_regular,
                                odd_components_after_deletion)
 from matchbound.matching import maximum_matching, verify_matching
@@ -180,3 +180,86 @@ def test_structure_is_shared_and_read_only():
     with pytest.raises(TypeError):
         degree_profile(g).degree_counts[1] = 5
     assert degree_profile(g).degree_counts == {1: 2, 2: 1, 0: 1}
+
+
+def reference_build(n, edges):
+    """The set-based builder the bucket step replaced, kept as the reference
+    for every message and index."""
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
+    adj = [set() for _ in range(n)]
+    m = 0
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}", m)
+        if u == v:
+            raise GraphError(f"loop edge ({u}, {v}) not allowed", m)
+        if v in adj[u]:
+            raise GraphError(f"duplicate edge ({u}, {v})", m)
+        adj[u].add(v)
+        adj[v].add(u)
+        m += 1
+    return Graph(n, tuple(tuple(sorted(s)) for s in adj), m)
+
+
+def build_outcome(build, n, pairs):
+    try:
+        return build(n, pairs)
+    except GraphError as exc:
+        return str(exc), exc.index
+
+
+@st.composite
+def pair_lists(draw):
+    """Shuffled pairs in either orientation with at most one defect."""
+    n = draw(st.integers(1, 12))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(all_pairs), unique=True)
+                  if all_pairs else st.just([]))
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    pairs = draw(st.permutations(pairs))
+    kind = draw(st.sampled_from(
+        ["none", "high", "negative", "loop", "duplicate", "reversed"]))
+    w = draw(st.integers(0, n - 1))
+    far = draw(st.integers(0, 2 * n))
+    if kind == "high":
+        bad = (w, n + far)
+    elif kind == "negative":
+        bad = (-1 - far, w)  # -n..-1 index a list silently
+    elif kind == "loop":
+        bad = (w, w)
+    elif kind in ("duplicate", "reversed") and pairs:
+        bad = draw(st.sampled_from(pairs))
+        if kind == "reversed":
+            bad = bad[::-1]
+    else:
+        return n, pairs
+    if draw(st.booleans()):
+        bad = bad[::-1]
+    at = draw(st.integers(0, len(pairs)))
+    return n, pairs[:at] + [bad] + pairs[at:]
+
+
+@given(pair_lists())
+def test_build_matches_the_set_based_reference(case):
+    n, pairs = case
+    expected = build_outcome(reference_build, n, pairs)
+    assert build_outcome(build_graph, n, pairs) == expected
+    assert build_outcome(build_graph, n, sorted(pairs)) == build_outcome(
+        reference_build, n, sorted(pairs))
+    # a generator and pairs given as lists are read the same way
+    assert build_outcome(build_graph, n, iter(pairs)) == expected
+    assert build_outcome(build_graph, n, (list(p) for p in pairs)) == expected
+
+
+def test_build_names_the_first_defect_in_input_order():
+    # -1 indexes the last list: it must still be reported as out of range
+    with pytest.raises(GraphError,
+                       match=r"edge \(-1, 2\) out of range") as exc:
+        build_graph(3, [(0, 1), (-1, 2), (0, 1)])
+    assert exc.value.index == 1
+    with pytest.raises(GraphError, match=r"duplicate edge \(2, 0\)") as exc:
+        build_graph(3, [(0, 2), (0, 1), (2, 0), (1, 1)])
+    assert exc.value.index == 2
+    g = build_graph(3, (p for p in [(2, 1), (0, 2)]))
+    assert g.adjacency == ((2,), (2,), (0, 1)) and g.edge_count == 2

@@ -203,6 +203,20 @@ GOLDEN_FAMILY = (
 )
 
 
+def test_matching_lists_its_edges_in_lexicographic_order():
+    # `matching` prints m.edges as they come, so the golden digest rests on
+    # this order: u < v within each edge, edges sorted
+    graphs = [make().graph for make in GOLDEN_FAMILY[:3]]
+    rng = random.Random(7741)
+    graphs += [random_connected_bounded(rng.getrandbits(64),
+                                        rng.randint(2, 40), rng.randint(3, 6))
+               for _ in range(200)]
+    for g in graphs:
+        edges = maximum_matching(g).edges
+        assert all(u < v for u, v in edges)
+        assert list(edges) == sorted(edges)
+
+
 def test_matching_stdout_is_byte_identical_to_the_recorded_digest(
         tmp_path, capsys):
     graphs = [make().graph for make in GOLDEN_FAMILY]
