@@ -29,6 +29,7 @@ The families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from matchbound.graphs import (MAX_EDGES, MAX_VERTICES, Graph, build_graph,
                                components, degree_profile)
@@ -43,8 +44,12 @@ class GeneratedGraph:
     link_vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert self.graph.vertex_count == self.predicted_n
-        assert self.graph.edge_count == self.predicted_m
+        # a raise, not an assert, so the check also runs under python -O
+        built = (self.graph.vertex_count, self.graph.edge_count)
+        if built != (self.predicted_n, self.predicted_m):
+            raise AssertionError(
+                f"built (n, m) = {built}, but the closed forms give "
+                f"{(self.predicted_n, self.predicted_m)}")
 
 
 def _check_size(n: int, m: int) -> None:
@@ -123,25 +128,19 @@ def block_chain(k: int, r: int, blocks: str = "gadgets") -> GeneratedGraph:
 
     # a gadget of a large k alone may exceed the limits: build it only if used
     gadget = complete_minus_edge(k).graph.edges() if gadget_count else []
-    edges: list[tuple[int, int]] = []
-    link_vertices: list[int] = []
-    attach: list[list[int]] = []  # per block: unused attachment points
-    next_id = r
-    for is_gadget in flags:
-        if is_gadget:
-            base = next_id
-            next_id += k + 1
-            edges.extend((base + u, base + v) for u, v in gadget)
-            link_vertices.extend((base, base + 1))
-            attach.append([base, base + 1])
-        else:
-            attach.append([next_id, next_id])
-            next_id += 1
+    # block j starts at first[j]; the last entry is the vertex count
+    first = list(accumulate((k + 1 if is_gadget else 1 for is_gadget in flags),
+                            initial=r))
+    bases = [b for b, is_gadget in zip(first, flags) if is_gadget]
+    edges = [(b + u, b + v) for b in bases for u, v in gadget]
     for i in range(r):
-        for j in range(i * (k - 1), i * (k - 1) + k):
-            edges.append((i, attach[j].pop(0)))
-    g = build_graph(next_id, edges)
-    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
+        # a gadget shared with connector i-1 gives i its second link vertex
+        j = i * (k - 1)
+        edges.append((i, first[j] + (1 if i and flags[j] else 0)))
+        edges.extend((i, first[j + t]) for t in range(1, k))
+    g = build_graph(first[-1], edges)
+    return GeneratedGraph(g, n, m, alpha,
+                          tuple(b + t for b in bases for t in (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -187,34 +186,22 @@ def canonical_tree(k: int, r: int, mode: str) -> BipartiteTree:
                 f"no tree has every part-1 vertex of degree {k} with "
                 f"|part2|={r}: counting edges forces |part2| = "
                 f"(k-1)*|part1| + 1, so r must be 1 mod {k - 1} and >= {k}")
-        spine_size = (r - 1) // (k - 1)
+        s = (r - 1) // (k - 1)  # the spine is part 1
     else:
-        spine_size = r
+        s = r  # the spine is part 2
     # every edge has exactly one spine end, and spine vertices have degree k
-    _check_size(k * spine_size + 1, k * spine_size)
+    _check_size(k * s + 1, k * s)
 
-    # spine vertices 0..spine_size-1 all get degree k: consecutive spine
-    # vertices share a connector, the rest is leaf padding
-    edges: list[tuple[int, int]] = []
-    next_id = spine_size
-    for i in range(spine_size):
-        spine_links = 0
-        if i > 0:
-            spine_links += 1  # connector created by the previous vertex
-        if i + 1 < spine_size:
-            connector = next_id
-            next_id += 1
-            edges.append((i, connector))
-            edges.append((i + 1, connector))
-            spine_links += 1
-        for _ in range(k - spine_links):
-            edges.append((i, next_id))
-            next_id += 1
-    g = build_graph(next_id, edges)
-    spine = range(spine_size)
-    others = range(spine_size, next_id)
-    part2 = tuple(spine) if mode == "tree" else tuple(others)
-    return BipartiteTree(g, part2)
+    # spine vertex i owns the ids from start[i] = s + i*(k-1) + (i > 0) to
+    # start[i+1] - 1: the connector it shares with spine vertex i+1 (if
+    # i + 1 < s), then k - (i > 0) - (i + 1 < s) padding leaves, so every
+    # spine vertex has degree k
+    start = [s + i * (k - 1) + (1 if i else 0) for i in range(s + 1)]
+    edges = [(i, v) for i in range(s) for v in range(start[i], start[i + 1])]
+    edges += [(i + 1, start[i]) for i in range(s - 1)]
+    g = build_graph(start[-1], edges)
+    part2 = range(s) if mode == "tree" else range(s, start[-1])
+    return BipartiteTree(g, tuple(part2))
 
 
 def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
@@ -238,21 +225,18 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
     _check_size(n, m)
     alpha = ((k * k + 1) * n2 - (k + 1) * n1 + (k + 1)) // 2
 
+    # gadget copy t hangs by its link vertex links[t] from hosts[t]
+    hosts = [x for x in tree.part2 for _ in range(k - base.degree(x))]
+    links = range(base.vertex_count,
+                  base.vertex_count + len(hosts) * (k + 2), k + 2)
     # a gadget of a large k alone may exceed the limits: build it only if used
-    gadget = (single_link_gadget(k).graph.edges()
-              if n > base.vertex_count else [])
-    edges = list(base.edges())
-    link_vertices: list[int] = []
-    next_id = base.vertex_count
-    for x in tree.part2:
-        for _ in range(k - base.degree(x)):
-            offset = next_id
-            next_id += k + 2
-            edges.extend((offset + u, offset + v) for u, v in gadget)
-            edges.append((x, offset))
-            link_vertices.append(offset)
-    g = build_graph(next_id, edges)
-    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
+    gadget = single_link_gadget(k).graph.edges() if hosts else []
+    edges = base.edges()
+    for x, link in zip(hosts, links):
+        edges.extend((link + u, link + v) for u, v in gadget)
+        edges.append((x, link))
+    g = build_graph(links.stop, edges)
+    return GeneratedGraph(g, n, m, alpha, tuple(links))
 
 
 def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
@@ -272,24 +256,16 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
     alpha = r + k * k * r // 4
 
     gadget = complete_minus_edge(k).graph.edges()
+    # the gadget at bases[t] joins hubs[t][0] by its first link vertex and
+    # hubs[t][1] by its second
+    hubs = [(i, (i + 1) % r) for i in range(r)]
+    hubs += [(h, h) for h in range(r) for _ in range((k - 2) // 2)]
+    bases = range(r, r + len(hubs) * (k + 1), k + 1)
     edges: list[tuple[int, int]] = []
-    link_vertices: list[int] = []
-    next_id = r
-
-    def add_gadget(hub_a: int, hub_b: int) -> None:
-        nonlocal next_id
-        base = next_id
-        next_id += k + 1
+    for (hub_a, hub_b), base in zip(hubs, bases):
         edges.extend((base + u, base + v) for u, v in gadget)
-        link_vertices.extend((base, base + 1))
-        edges.append((hub_a, base))
-        edges.append((hub_b, base + 1))
-
-    for i in range(r):
-        add_gadget(i, (i + 1) % r)
-    for hub in range(r):
-        for _ in range((k - 2) // 2):
-            add_gadget(hub, hub)
-    g = build_graph(next_id, edges)
-    return GeneratedGraph(g, n, m, alpha, tuple(link_vertices))
+        edges += [(hub_a, base), (hub_b, base + 1)]
+    g = build_graph(bases.stop, edges)
+    return GeneratedGraph(g, n, m, alpha,
+                          tuple(b + t for b in bases for t in (0, 1)))
 

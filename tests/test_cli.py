@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -146,6 +148,58 @@ def test_construct_dot_output(capsys):
     assert "--" in out
 
 
+def construct_sweep(tmp_path):
+    """Argument lists for `construct`: gkr and fkr at k = 4, 6, 8, hkr at
+    k = 3, 5, 7 in both canonical modes and from tree files, with the
+    bipartition class found from vertex 0 and the other one by --part2."""
+    rng = random.Random(12)
+    sweep = []
+    for k in (4, 6, 8):
+        for r in (1, 2, 3):
+            length = r * (k - 1) + 1
+            seeded = ["".join(rng.choice("gs10") for _ in range(length))
+                      for _ in range(2)]
+            for blocks in ["gadgets", "singles", *seeded]:
+                sweep.append(["gkr", "--k", str(k), "--r", str(r),
+                              "--blocks", blocks])
+            sweep.append(["fkr", "--k", str(k), "--r", str(r)])
+    trees = [write_graph(tmp_path, "ref.el",
+                         "9 8\n0 1\n1 2\n2 3\n2 4\n4 5\n4 6\n6 7\n7 8\n"),
+             write_graph(tmp_path, "path.el", "4 3\n0 1\n1 2\n2 3\n")]
+    for k in (3, 5, 7):
+        for r in (1, 2, 3):
+            sweep.append(["hkr", "--k", str(k), "--r", str(r)])
+        for r in (k, 2 * k - 1):
+            sweep.append(["hkr", "--k", str(k), "--r", str(r),
+                          "--mode", "regular"])
+        sweep.append(["hkr", "--k", str(k), "--r", "2", "--mode", "tree"])
+        for tree, even_class in zip(trees, ("0,2,5,6,8", "0,2")):
+            sweep.append(["hkr", "--k", str(k), "--tree", tree])
+            sweep.append(["hkr", "--k", str(k), "--tree", tree,
+                          "--part2", even_class])
+    return sweep
+
+
+# SHA-256 over construct_sweep of each member's stdout edge list, its --dot
+# text and the file and JSON sidecar written by --out, recorded while the
+# generators still placed vertices with per-block attachment lists.
+GOLDEN_CONSTRUCT = ("8214470b89c8ff58c99c9a9cab2e9a7a"
+                    "3d89d0d2a686263dc5418e23657bc476")
+
+
+def test_construct_output_matches_the_recorded_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    out = tmp_path / "member.el"
+    for argv in construct_sweep(tmp_path):
+        for extra in ([], ["--dot"], ["--out", str(out)]):
+            code, stdout, err = invoke(capsys, "construct", *argv, *extra)
+            assert code == 0 and err == "", (argv, extra, err)
+            digest.update(f"{code}\n{stdout}".encode())
+        digest.update(out.read_bytes())
+        digest.update(Path(str(out) + ".json").read_bytes())
+    assert digest.hexdigest() == GOLDEN_CONSTRUCT
+
+
 def test_region_point_classification(capsys):
     code, out, _ = invoke(capsys, "region", "--k", "4",
                           "--point", "-1/11,3/11")
@@ -177,6 +231,20 @@ def test_region_polygon_csv_and_svg(tmp_path, capsys):
     assert "-1/11,3/11,-0.09091,0.27273" in lines
     assert svg_path.read_text().startswith("<svg ")
 
+
+def test_region_explicit_bbox(tmp_path, capsys):
+    # the default box spelled out gives the same polygon as no --bbox
+    implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+    assert invoke(capsys, "region", "--k", "4",
+                  "--polygon", str(implicit))[0] == 0
+    assert invoke(capsys, "region", "--k", "4", "--polygon", str(explicit),
+                  "--bbox", "-1/4,1/4,-1/2,1/2")[0] == 0
+    assert explicit.read_bytes() == implicit.read_bytes()
+    short = tmp_path / "short.csv"
+    code, out, err = invoke(capsys, "region", "--k", "4", "--polygon",
+                            str(short), "--bbox", "-1/4,1/4,-1/2")
+    assert code == 2 and out == "" and not short.exists()
+    assert "--bbox needs 4 comma-separated rationals" in err
 
 def test_region_rejects_bad_points(capsys):
     assert invoke(capsys, "region", "--k", "4", "--point", "1/0,2")[0] == 2

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,32 @@ def test_members_without_gadgets_build_none(monkeypatch):
     assert chain.graph.edge_count == chain.predicted_m == 12
     star = tree_with_gadgets(5, canonical_tree(5, 1, "tree"))
     assert star.graph.edge_count == star.predicted_m == 5
+
+
+def test_large_k_members_without_gadgets_build_none(monkeypatch):
+    # at these k one gadget alone has millions of edges
+    def refuse(k):
+        raise AssertionError(f"gadget built for k={k}")
+
+    monkeypatch.setattr(families, "complete_minus_edge", refuse)
+    monkeypatch.setattr(families, "single_link_gadget", refuse)
+    chain = block_chain(3000, 1, "singles")
+    assert chain.graph.edge_count == chain.predicted_m == 3000
+    star = tree_with_gadgets(5001, canonical_tree(5001, 1, "tree"))
+    assert star.graph.edge_count == star.predicted_m == 5001
+
+
+def test_closed_form_check_also_runs_under_python_O():
+    script = ("from matchbound.families import GeneratedGraph\n"
+              "from matchbound.graphs import build_graph\n"
+              "GeneratedGraph(build_graph(2, []), 3, 5, 0, ())\n")
+    src = Path(families.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert ("AssertionError: built (n, m) = (2, 0), but the closed forms "
+            "give (3, 5)") in done.stderr
 
 
 # --- regular rings ------------------------------------------------------

@@ -77,6 +77,14 @@ def test_result_is_a_valid_matching():
     assert not verify_matching(g, Matching(((0, 7),)))  # not an edge
 
 
+def test_verify_matching_rejects_ids_out_of_range():
+    g = petersen()
+    # -1 indexes vertex 9, a neighbour of 4: only the range check rejects it
+    assert g.has_edge(-1, 4)
+    assert not verify_matching(g, Matching(((-1, 4),)))
+    assert not verify_matching(g, Matching(((10, 4),)))
+
+
 def test_matching_is_deterministic():
     g = circulant(9, (1, 2))
     assert maximum_matching(g).edges == maximum_matching(g).edges
