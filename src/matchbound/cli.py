@@ -21,13 +21,12 @@ import argparse
 from matchbound import __version__
 from matchbound.bounds import (BoundReport, audit_graph, bound_rows,
                                format_decimal, kregular_reference_pieces)
-from matchbound.edgelist import (EdgeListError, emit_edge_list,
-                                 parse_edge_list, to_dot)
+from matchbound.edgelist import emit_edge_list, parse_edge_list, to_dot
 from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
                                  canonical_tree, regular_gadget_ring,
                                  tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, run_fuzz
-from matchbound.graphs import Graph, GraphError
+from matchbound.graphs import Graph
 from matchbound.matching import maximum_matching, tutte_berge
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces, polygon_svg,
@@ -52,7 +51,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (EdgeListError, GraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -65,15 +64,12 @@ def _merge_tuple_flags(argv: list[str]) -> list[str]:
     working.
     """
     merged: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--point", "--bbox") and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        # a merged token holds '=', so it never takes a second value
+        if merged and merged[-1] in ("--point", "--bbox"):
+            merged[-1] += f"={tok}"
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 
@@ -194,14 +190,14 @@ def _read_graph(path: str) -> Graph:
 def _cmd_matching(args: argparse.Namespace) -> int:
     m = maximum_matching(_read_graph(args.file))
     # maximum_matching already lists its edges in lexicographic order
-    payload = {"alpha": m.size, "witness": [list(e) for e in m.edges]}
+    payload = {"alpha": m.size, "witness": m.edges}
     print(json.dumps(payload, separators=(",", ":")))
     return 0
 
 
 def _cmd_tutte_berge(args: argparse.Namespace) -> int:
     cert = tutte_berge(_read_graph(args.file), max_n=args.max_n)
-    payload = {"alpha": cert.value, "witness": list(cert.witness)}
+    payload = {"alpha": cert.value, "witness": cert.witness}
     print(json.dumps(payload, separators=(",", ":")))
     return 0
 
@@ -291,49 +287,21 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from None
 
 
-def _parse_rationals(text: str, count: int, what: str) -> list[Fraction]:
+def _parse_rationals(text: str, count: int, what: str
+                     ) -> tuple[Fraction, ...]:
     parts = text.split(",")
     if len(parts) != count:
         raise ValueError(
             f"{what} needs {count} comma-separated rationals, got {text!r}")
-    return [_parse_fraction(p) for p in parts]
+    return tuple(_parse_fraction(p) for p in parts)
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
     k = args.k
-    if args.bbox is not None and not (args.polygon or args.svg):
+    draw = args.polygon or args.svg
+    if args.bbox is not None and not draw:
         raise ValueError("region takes --bbox only with --polygon or --svg")
-    acted = False
-    if args.point is not None:
-        gamma, beta = _parse_rationals(args.point, 2, "--point")
-        p = (gamma, beta)
-        good = classify_pair(k, p)
-        if good != classify_pair_geometric(k, p):
-            raise AssertionError(
-                f"classifier disagreement at {p} for k={k}")
-        boundary = good and any(h.on_boundary(p) for h in half_spaces(k))
-        print(json.dumps(
-            {"classification": "good" if good else "bad",
-             "boundary": boundary},
-            separators=(",", ":")))
-        acted = True
-    if args.polygon or args.svg:
-        if args.bbox is not None:
-            g0, g1, b0, b1 = _parse_rationals(args.bbox, 4, "--bbox")
-            bbox = (g0, g1, b0, b1)
-        else:
-            bbox = DEFAULT_BBOX
-        points = region_polygon(k, bbox)
-        if args.polygon:
-            rows = ["gamma_exact,beta_exact,gamma_dec,beta_dec"]
-            rows.extend(
-                f"{g},{b},{format_decimal(g)},{format_decimal(b)}"
-                for g, b in points)
-            Path(args.polygon).write_text("\n".join(rows) + "\n")
-        if args.svg:
-            Path(args.svg).write_text(polygon_svg(points, bbox))
-        acted = True
-    if not acted:
+    if args.point is None and not draw:
         payload = {
             "k": k,
             "extreme_points": [[str(g), str(b)]
@@ -343,6 +311,30 @@ def _cmd_region(args: argparse.Namespace) -> int:
                             for h in half_spaces(k)],
         }
         print(json.dumps(payload, separators=(",", ":")))
+        return 0
+    if args.point is not None:
+        p = _parse_rationals(args.point, 2, "--point")
+        good = classify_pair(k, p)
+        if good != classify_pair_geometric(k, p):
+            raise AssertionError(
+                f"classifier disagreement at {p} for k={k}")
+        boundary = good and any(h.on_boundary(p) for h in half_spaces(k))
+        print(json.dumps(
+            {"classification": "good" if good else "bad",
+             "boundary": boundary},
+            separators=(",", ":")))
+    if draw:
+        bbox = (DEFAULT_BBOX if args.bbox is None
+                else _parse_rationals(args.bbox, 4, "--bbox"))
+        points = region_polygon(k, bbox)
+        if args.polygon:
+            rows = ["gamma_exact,beta_exact,gamma_dec,beta_dec"]
+            rows.extend(
+                f"{g},{b},{format_decimal(g)},{format_decimal(b)}"
+                for g, b in points)
+            Path(args.polygon).write_text("\n".join(rows) + "\n")
+        if args.svg:
+            Path(args.svg).write_text(polygon_svg(points, bbox))
     return 0
 
 

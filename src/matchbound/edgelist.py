@@ -8,9 +8,9 @@ to the identical byte string. Parse errors carry 1-based line numbers.
 Two routes give the same result. A text made only of lines of two ASCII
 numbers one space apart, each ended by a newline, as every emitted text
 is, takes the bulk route: one split of the whole text, the header checks,
-one u < v check over all edges, then `build_graph`. Any other text, and
-any text the bulk route finds a fault in, is parsed line by line, which
-names the faulty line.
+one u < v check over all edges, then `build_graph`. The bulk route only
+accepts: any other text, and any text on which it raises a ValueError of
+any kind, is parsed line by line, which names the faulty line.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ class EdgeListError(ValueError):
 
 def parse_edge_list(text: str) -> Graph:
     if _is_canonical(text):
-        g = _parse_bulk(text)
-        if g is not None:
-            return g
+        try:
+            return _parse_bulk(text)
+        except ValueError:
+            pass  # the line route names the fault and its line
     return _parse_lines(text)
 
 
@@ -49,20 +50,18 @@ def _is_canonical(text: str) -> bool:
             and "\n " not in text and " \n" not in text)
 
 
-def _parse_bulk(text: str) -> Graph | None:
-    """The graph of a canonical text, or None where the text is at fault."""
+def _parse_bulk(text: str) -> Graph:
+    """The graph of a canonical text. Any fault raises a ValueError, unworded,
+    for the line route to name."""
     head = text.index("\n")
     n, m = map(int, text[:head].split())
     if n > MAX_VERTICES or m > MAX_EDGES or text.count("\n") != m + 1:
-        return None
+        raise ValueError("header")
     ends = list(map(int, text[head:].split()))
     us, vs = ends[0::2], ends[1::2]
     if not all(map(lt, us, vs)):
-        return None
-    try:
-        return build_graph(n, zip(us, vs))
-    except GraphError:
-        return None
+        raise ValueError("u < v")
+    return build_graph(n, zip(us, vs))
 
 
 def _parse_lines(text: str) -> Graph:
@@ -72,14 +71,8 @@ def _parse_lines(text: str) -> Graph:
         raise EdgeListError("no header line found")
 
     lineno, fields = header
-    if len(fields) != 2:
-        raise EdgeListError(
-            f"line {lineno}: header must be 'n m', got {' '.join(fields)!r}")
-    try:
-        n, m = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise EdgeListError(
-            f"line {lineno}: header must be two integers") from None
+    n, m = _pair(lineno, fields, "header must be 'n m'",
+                 "header must be two integers")
     if n < 0 or m < 0:
         raise EdgeListError(f"line {lineno}: header values must be >= 0")
     if n > MAX_VERTICES:
@@ -97,15 +90,8 @@ def _parse_lines(text: str) -> Graph:
 
     edges: list[tuple[int, int]] = []
     for lineno, fields in body_rows:
-        if len(fields) != 2:
-            raise EdgeListError(
-                f"line {lineno}: edge must be 'u v', got "
-                f"{' '.join(fields)!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise EdgeListError(
-                f"line {lineno}: edge endpoints must be integers") from None
+        u, v = _pair(lineno, fields, "edge must be 'u v'",
+                     "edge endpoints must be integers")
         if not u < v:
             raise EdgeListError(
                 f"line {lineno}: edge endpoints must satisfy u < v, "
@@ -118,6 +104,18 @@ def _parse_lines(text: str) -> Graph:
         # every pair passed the checks above, so the error names one pair
         raise EdgeListError(
             f"line {body_rows[exc.index][0]}: {exc}") from None
+
+
+def _pair(lineno: int, fields: list[str], shape_fault: str,
+          int_fault: str) -> tuple[int, int]:
+    """The two integers of a header or edge line, or its fault, worded."""
+    if len(fields) != 2:
+        raise EdgeListError(
+            f"line {lineno}: {shape_fault}, got {' '.join(fields)!r}")
+    try:
+        return int(fields[0]), int(fields[1])
+    except ValueError:
+        raise EdgeListError(f"line {lineno}: {int_fault}") from None
 
 
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:

@@ -24,10 +24,16 @@ from dataclasses import dataclass, field
 
 from matchbound.bounds import evaluate_bounds
 from matchbound.edgelist import emit_edge_list
-from matchbound.graphs import MAX_VERTICES, Graph, build_graph, components
+from matchbound.graphs import Graph, build_graph, components
 from matchbound.matching import maximum_matching
 
 _MASK64 = (1 << 64) - 1
+# Largest order a fuzz sample may have. At n = 10^5 one sample takes 1.1 s
+# at k = 10, 2.1 s at k = 6 and 8-10 s at k = 3, and a whole trial with its
+# matching 8-12 s; the sampler peaks at 517 (k = 3) to 1005 (k = 6) bytes
+# per vertex (tracemalloc; 2-vCPU Xeon, Python 3.11). The time grows about
+# as n^2, since `spare.remove` scans a list, so 10^6 would take minutes.
+MAX_FUZZ_ORDER = 10 ** 5
 
 
 def _mix(seed: int, index: int) -> int:
@@ -51,9 +57,9 @@ class FuzzConfig:
             raise ValueError(f"k must be >= 3, got {self.k}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 2 <= self.max_n <= MAX_VERTICES:
-            raise ValueError(f"max_n must be in 2..{MAX_VERTICES}, "
-                             f"got {self.max_n}")
+        if not 2 <= self.max_n <= MAX_FUZZ_ORDER:
+            raise ValueError(f"max_n must be in 2..{MAX_FUZZ_ORDER}, the "
+                             f"fuzz order limit, got {self.max_n}")
 
 
 @dataclass(frozen=True)

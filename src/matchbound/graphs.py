@@ -66,16 +66,15 @@ class Graph:
         """Components, degrees and BFS parity, from one scan on first use."""
         adjacency = self.adjacency
         n = self.vertex_count
-        comp = [-1] * n
+        seen = [False] * n
         parity = [0] * n
         sizes: list[int] = []
         common: list[int | None] = []
         counts: dict[int, int] = {}
         for start in range(n):
-            if comp[start] != -1:
+            if seen[start]:
                 continue
-            idx = len(sizes)
-            comp[start] = idx
+            seen[start] = True
             degree: int | None = len(adjacency[start])
             queue = [start]
             for v in queue:
@@ -84,15 +83,14 @@ class Graph:
                 if d != degree:
                     degree = None
                 for u in adjacency[v]:
-                    if comp[u] == -1:
-                        comp[u] = idx
+                    if not seen[u]:
+                        seen[u] = True
                         parity[u] = parity[v] ^ 1
                         queue.append(u)
             sizes.append(len(queue))
             common.append(degree)
-        return Structure(tuple(comp), tuple(sizes), tuple(common),
-                         max(counts, default=0), MappingProxyType(counts),
-                         tuple(parity))
+        return Structure(tuple(sizes), tuple(common), max(counts, default=0),
+                         MappingProxyType(counts), tuple(parity))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -157,7 +155,6 @@ class Structure:
     Components are numbered in order of their lowest vertex; BFS starts at
     that vertex and scans sorted adjacency, so every field is deterministic.
     """
-    component_of: tuple[int, ...]
     component_sizes: tuple[int, ...]
     # the degree shared by every vertex of a component, None if they differ
     component_degree: tuple[int | None, ...]
@@ -192,8 +189,9 @@ def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
         if not 0 <= v < n:
             raise GraphError(f"vertex {v} out of range for n={n}")
         gone.add(v)
-    rest = build_graph(n, [(u, v) for u, v in g.edges()
-                           if u not in gone and v not in gone])
+    rest = build_graph(n, [(u, v) for u, nbrs in enumerate(g.adjacency)
+                           if u not in gone
+                           for v in nbrs if u < v and v not in gone])
     return sum(s & 1 for s in rest.structure.component_sizes) - len(gone)
 
 

@@ -118,14 +118,13 @@ def region_polygon(k: int, bbox: tuple[Fraction, Fraction, Fraction, Fraction]
                          (gmin, bmax)]
     for cap in half_spaces(k):
         poly = _clip(poly, cap)
-        if not poly:
-            break
+    # Each cap has negative slope through an extreme point inside the box, so
+    # the box's lower-left corner lies strictly inside every cap: it stays
+    # first, and a vertex on a cap line is repeated only next to itself.
     deduped: list[Point] = []
     for q in poly:
         if not deduped or q != deduped[-1]:
             deduped.append(q)
-    if len(deduped) > 1 and deduped[0] == deduped[-1]:
-        deduped.pop()
     return deduped
 
 

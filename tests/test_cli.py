@@ -8,6 +8,7 @@ import pytest
 from matchbound import cli, edgelist, families, fuzz
 from matchbound.cli import run_cli
 from matchbound.edgelist import EdgeListError, parse_edge_list
+from matchbound.fuzz import MAX_FUZZ_ORDER
 from matchbound.graphs import MAX_EDGES, MAX_VERTICES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -290,6 +291,41 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "promises" in err
 
 
+def test_a_long_number_is_reported_with_its_line_by_either_route(
+        tmp_path, capsys):
+    # int() refuses more than 4300 digits on Python 3.11 and later; on older
+    # Pythons both routes report the edge as out of range instead
+    edge = "0 " + "7" * 5000
+    texts = (f"3 1\n{edge}\n", f"3 1\n{edge} # c\n")
+    errs = []
+    for name, text in zip(("bulk.el", "lines.el"), texts):
+        code, out, err = invoke(capsys, "matching",
+                                write_graph(tmp_path, name, text))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: ")
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "gkr", "--k", "3", "--r", "1"],
+     "block_chain needs even k >= 4, got 3"),
+    (["construct", "hkr", "--k", "3", "--r", "0"],
+     "canonical_tree needs r >= 1, got 0"),
+    (["construct", "hkr", "--k", "1", "--r", "3"],
+     "canonical_tree needs k >= 2, got 1"),
+    (["construct", "hkr", "--k", "3", "--tree", "EDGE", "--part2", "5"],
+     "part-2 ids out of range"),
+    (["region", "--k", "2"], "extreme_points needs k >= 3, got 2"),
+])
+def test_bad_family_and_region_parameters_exit_2(tmp_path, capsys, argv,
+                                                 message):
+    edge = write_graph(tmp_path, "edge.el", "2 1\n0 1\n")
+    argv = [edge if a == "EDGE" else a for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_oversized_header_is_rejected_before_building(
         tmp_path, capsys, monkeypatch):
     def refuse(n, edges):
@@ -334,9 +370,11 @@ def test_oversized_members_and_sweeps_are_rejected_before_building(
     monkeypatch.setattr(fuzz, "build_graph", refuse)
     # a two-vertex backbone dressed at k = 5001 has k*k + k vertices
     backbone = write_graph(tmp_path, "edge.el", "2 1\n0 1\n")
+    code, out, err = invoke(capsys, "fuzz", "--k", "3", "--trials", "1",
+                            "--max-n", str(MAX_FUZZ_ORDER + 1), "--seed", "1")
+    assert code == 2 and out == ""
+    assert f"{MAX_FUZZ_ORDER}, the fuzz order limit" in err
     for argv in (
-            ["fuzz", "--k", "3", "--trials", "1", "--max-n",
-             str(MAX_VERTICES + 1), "--seed", "1"],
             ["construct", "fkr", "--k", "4", "--r", "100000000"],
             ["construct", "gkr", "--k", "4", "--r", "10" + "0" * 12],
             # every block is at least one vertex, but gadgets push n over

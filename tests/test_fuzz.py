@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from matchbound import bounds
 from matchbound.cli import run_cli
 from matchbound.edgelist import emit_edge_list
-from matchbound.fuzz import (FuzzConfig, FuzzOutcome, FuzzViolation,
-                             _drop_non_bridge, _mix, random_connected_bounded,
-                             run_fuzz)
-from matchbound.graphs import (MAX_VERTICES, build_graph, components,
-                               degree_profile, is_k_regular)
+from matchbound.fuzz import (MAX_FUZZ_ORDER, FuzzConfig, FuzzOutcome,
+                             FuzzViolation, _drop_non_bridge, _mix,
+                             random_connected_bounded, run_fuzz)
+from matchbound.graphs import (build_graph, components, degree_profile,
+                               is_k_regular)
 
 
 def test_mix_spreads_streams():
@@ -86,9 +86,10 @@ def test_config_validation():
         FuzzConfig(k=3, trials=0, max_n=8, seed=0)
     with pytest.raises(ValueError):
         FuzzConfig(k=3, trials=1, max_n=1, seed=0)
-    FuzzConfig(k=3, trials=1, max_n=MAX_VERTICES, seed=0)
-    with pytest.raises(ValueError, match="max_n"):
-        FuzzConfig(k=3, trials=1, max_n=MAX_VERTICES + 1, seed=0)
+    FuzzConfig(k=3, trials=1, max_n=MAX_FUZZ_ORDER, seed=0)
+    with pytest.raises(ValueError, match=f"2..{MAX_FUZZ_ORDER}, the fuzz "
+                                         "order limit"):
+        FuzzConfig(k=3, trials=1, max_n=MAX_FUZZ_ORDER + 1, seed=0)
 
 
 def test_run_fuzz_small_sweep():

@@ -49,6 +49,8 @@ def test_half_space_counts_and_slopes():
         # slopes get steeper from the last cap to the first
         slopes = sorted(h.slope for h in caps)
         assert slopes[0] == -1
+        # so a box's lower-left corner is strictly inside every cap
+        assert slopes[-1] < 0
 
 
 def test_extreme_points_exact():
@@ -173,6 +175,7 @@ def test_region_polygon_k4():
 def test_region_polygon_properties():
     for k in (3, 4, 5, 6):
         poly = region_polygon(k, BBOX)
+        assert poly[0] == (BBOX[0], BBOX[2])  # the lower-left corner
         # counterclockwise by the shoelace sign
         doubled = sum(poly[i][0] * poly[(i + 1) % len(poly)][1]
                       - poly[(i + 1) % len(poly)][0] * poly[i][1]
