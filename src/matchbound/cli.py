@@ -27,7 +27,8 @@ from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
                                  tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, run_fuzz
 from matchbound.graphs import Graph
-from matchbound.matching import maximum_matching, tutte_berge
+from matchbound.matching import (MAX_ORACLE_ORDER, maximum_matching,
+                                 tutte_berge)
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces, polygon_svg,
                                region_polygon)
@@ -95,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exhaustive deficiency-formula certificate")
     p.add_argument("file")
     p.add_argument("--max-n", type=int, default=22,
-                   help="refuse graphs larger than this (default 22)")
+                   help="refuse graphs larger than this (default 22) or "
+                        f"than {MAX_ORACLE_ORDER}, the oracle order limit")
     p.set_defaults(handler=_cmd_tutte_berge)
 
     p = sub.add_parser("audit",

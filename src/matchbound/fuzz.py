@@ -6,10 +6,14 @@ reproduces byte-identically. Graphs are built spanning-tree-first (every
 new vertex attaches to an existing one with spare degree, which always
 exists for k >= 2, drawn from a list of those vertices that is kept in
 increasing order as degrees grow), then sprinkled with extra edges
-rejected at the degree cap. With forbid_regular set, a sample that
-lands exactly k-regular (read as 2m = kn, since no degree exceeds k) has
-its first non-bridge edge (in sorted order) removed; a connected k-regular
-graph with k >= 2 contains a cycle, so one always exists.
+rejected at the degree cap or as duplicates. Each draw calls the
+generator's ``getrandbits`` in the rejection loop of ``randrange``, so a
+sample takes the same numbers from the same stream as the library's
+``choice``, ``randrange`` and ``randint`` would. With forbid_regular set,
+a sample that lands exactly k-regular (read as 2m = kn, since no degree
+exceeds k) has its first non-bridge edge (in sorted order) removed; a
+connected k-regular graph with k >= 2 contains a cycle, so one always
+exists.
 
 A trial checks each bound as one integer comparison, ``D*alpha' >=
 numerator``, on the scaled rows of :func:`matchbound.bounds.evaluate_bounds`;
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from matchbound.bounds import evaluate_bounds
 from matchbound.edgelist import emit_edge_list
@@ -28,11 +33,11 @@ from matchbound.graphs import Graph, build_graph, components
 from matchbound.matching import maximum_matching
 
 _MASK64 = (1 << 64) - 1
-# Largest order a fuzz sample may have. At n = 10^5 one sample takes 1.1 s
-# at k = 10, 2.1 s at k = 6 and 8-10 s at k = 3, and a whole trial with its
-# matching 8-12 s; the sampler peaks at 517 (k = 3) to 1005 (k = 6) bytes
-# per vertex (tracemalloc; 2-vCPU Xeon, Python 3.11). The time grows about
-# as n^2, since `spare.remove` scans a list, so 10^6 would take minutes.
+# Largest order a fuzz sample may have. At n = 10^5 one sample takes
+# 0.7-1.6 s at k = 3..10 and peaks at 414 (k = 3) to 580 (k = 10) bytes per
+# vertex, while matching it and evaluating its bounds takes 0.35 s at k = 3
+# and 3-4 s at k = 4..10 (tracemalloc; 2-vCPU Xeon, Python 3.11), so the
+# limit is now held by the matching, not by the sampler.
 MAX_FUZZ_ORDER = 10 ** 5
 
 
@@ -112,30 +117,63 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
             f"the only connected option on {n} vertices is {k}-regular")
 
     rng = random.Random(g_seed & _MASK64)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    bits = rng.getrandbits
+    deg = [0] * n
+    pairs: list[tuple[int, int]] = []  # (u, v) with u < v
+    keys: set[int] = set()  # u * n + v for each pair
 
     spare = [0]  # vertices below v with degree < k, in increasing order
     for v in range(1, n):
-        u = rng.choice(spare)
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-        if len(nbrs[u]) == k:
-            spare.remove(u)
-        if k > 1:  # v has degree 1
+        i = _below(bits, len(spare))
+        u = spare[i]
+        pairs.append((u, v))
+        keys.add(u * n + v)
+        deg[u] += 1
+        deg[v] = 1
+        if deg[u] == k:
+            del spare[i]
+        if k > 1:  # v has spare degree
             spare.append(v)
 
-    for _ in range(rng.randint(0, 2 * n)):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or v in nbrs[u] or max(len(nbrs[u]), len(nbrs[v])) >= k:
+    w = n.bit_length()
+    for _ in range(_below(bits, 2 * n + 1)):
+        u = bits(w)
+        while u >= n:
+            u = bits(w)
+        v = bits(w)
+        while v >= n:
+            v = bits(w)
+        if u == v or deg[u] >= k or deg[v] >= k:
             continue
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+        if u > v:
+            u, v = v, u
+        key = u * n + v
+        if key in keys:
+            continue
+        keys.add(key)
+        pairs.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
 
-    g = build_graph(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
+    pairs.sort()
+    g = build_graph(n, pairs)
     if forbid_regular and 2 * g.edge_count == n * k:
         g = _drop_non_bridge(g)
     return g
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n), n >= 1, with ``bits`` a generator's getrandbits.
+
+    This is CPython's ``Random._randbelow``, through which ``randrange(n)``,
+    ``choice(seq)`` and ``randint(a, b)`` all draw, so it takes the same
+    numbers from the stream in one C call each.
+    """
+    w = n.bit_length()
+    r = bits(w)
+    while r >= n:
+        r = bits(w)
+    return r
 
 
 def _drop_non_bridge(g: Graph) -> Graph:

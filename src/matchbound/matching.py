@@ -188,6 +188,11 @@ def maximum_matching(g: Graph) -> Matching:
 # the oracle evaluates its 2^n vertex sets in blocks of 2^BLOCK_BITS, so its
 # planes hold 2^BLOCK_BITS bits and its memory does not grow with n
 BLOCK_BITS = 18
+# Largest order the oracle takes, whatever max_n is. Its time doubles with
+# each vertex: one call on a path or a fuzz sample (k = 3 or 6) took
+# 0.11-0.13 s at n = 22, 2.1-3.0 s at 26, 9.7-13.6 s at 28 and 53-62 s at
+# 30 (2-vCPU Xeon, Python 3.11).
+MAX_ORACLE_ORDER = 30
 
 
 class OracleSizeError(ValueError):
@@ -224,6 +229,10 @@ def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
     * Witness. A greedy walk over ``member`` picks the least of them.
     """
     n = g.vertex_count
+    if n > MAX_ORACLE_ORDER:
+        raise OracleSizeError(
+            f"graph has {n} vertices; exhaustive enumeration is limited to "
+            f"{MAX_ORACLE_ORDER}, the oracle order limit, whatever max_n is")
     if n > max_n:
         raise OracleSizeError(
             f"graph has {n} vertices; exhaustive enumeration is limited to "

@@ -15,8 +15,8 @@ from matchbound.bounds import audit_graph, bound_rows, format_decimal
 from matchbound.families import (bipartite_tree, block_chain, canonical_tree,
                                  regular_gadget_ring, tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, random_connected_bounded, run_fuzz
-from matchbound.graphs import (build_graph, components, is_k_regular,
-                               odd_components_after_deletion)
+from matchbound.graphs import (build_graph, components, degree_profile,
+                               is_k_regular, odd_components_after_deletion)
 from matchbound.matching import maximum_matching, tutte_berge, verify_matching
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces)
@@ -94,6 +94,15 @@ def test_odd_components_after_deletion_at_100k_vertices():
                     stack.append(u)
         expected += size % 2
     assert odd == expected
+
+
+def test_fuzz_sample_at_100k_vertices():
+    start = time.monotonic()
+    g = random_connected_bounded(777, 10 ** 5, 3)
+    assert time.monotonic() - start < 4
+    assert g.vertex_count == 10 ** 5
+    assert components(g).component_count == 1
+    assert degree_profile(g).max_degree <= 3
 
 
 def test_mixed_block_chain_reproduces_the_reference_instance():

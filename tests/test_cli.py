@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from matchbound import cli, edgelist, families, fuzz
+from matchbound import cli, edgelist, families, fuzz, matching
 from matchbound.cli import run_cli
 from matchbound.edgelist import EdgeListError, parse_edge_list
 from matchbound.fuzz import MAX_FUZZ_ORDER
 from matchbound.graphs import MAX_EDGES, MAX_VERTICES
+from matchbound.matching import MAX_ORACLE_ORDER
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,6 +48,23 @@ def test_tutte_berge_size_guard(tmp_path, capsys):
     code, _, err = invoke(capsys, "tutte-berge", path, "--max-n", "3")
     assert code == 2
     assert "exhaustive enumeration" in err
+
+
+def test_tutte_berge_refuses_orders_above_the_oracle_limit(
+        tmp_path, capsys, monkeypatch):
+    def refuse(counter, plane):
+        raise AssertionError("the oracle started to enumerate")
+
+    monkeypatch.setattr(matching, "_count", refuse)
+    for n in (MAX_ORACLE_ORDER + 1, 40):
+        path = write_graph(tmp_path, "path.el", f"{n} {n - 1}\n" + "".join(
+            f"{i} {i + 1}\n" for i in range(n - 1)))
+        for max_n in ("64", str(n), "22"):
+            code, out, err = invoke(capsys, "tutte-berge", path,
+                                    "--max-n", max_n)
+            assert code == 2 and out == "", (n, max_n)
+            assert (f"limited to {MAX_ORACLE_ORDER}, the oracle order limit"
+                    in err), (n, max_n)
 
 
 def test_audit_command(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from matchbound import bounds
 from matchbound.cli import run_cli
 from matchbound.edgelist import emit_edge_list
 from matchbound.fuzz import (MAX_FUZZ_ORDER, FuzzConfig, FuzzOutcome,
-                             FuzzViolation, _drop_non_bridge, _mix,
+                             FuzzViolation, _below, _drop_non_bridge, _mix,
                              random_connected_bounded, run_fuzz)
 from matchbound.graphs import (build_graph, components, degree_profile,
                                is_k_regular)
@@ -21,6 +22,74 @@ def test_mix_spreads_streams():
     assert len(outs) == 4 * 256
     assert all(0 <= z < 2 ** 64 for z in outs)
     assert _mix(0, 0) != _mix(0, 1)
+
+
+def test_below_draws_what_the_library_draws():
+    sizes = list(range(1, 301))
+    sizes += [2 ** j + d for j in range(1, 71) for d in (-1, 0, 1)]
+    for seed in (0, 1, 7, 2 ** 63 + 5):
+        for n in sizes:
+            drawn = _below(random.Random(seed).getrandbits, n)
+            assert drawn == random.Random(seed).randrange(n), (seed, n)
+            assert drawn == random.Random(seed).randint(0, n - 1), (seed, n)
+            if n <= sys.maxsize:  # the longest sequence choice can take
+                assert drawn == random.Random(seed).choice(range(n)), n
+        # one generator, many draws: the streams stay in step
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            assert _below(ours.getrandbits, n) == theirs.randrange(n)
+            assert _below(ours.getrandbits, n) == theirs.randint(0, n - 1)
+            if n <= sys.maxsize:
+                assert _below(ours.getrandbits, n) == theirs.choice(range(n))
+        assert ours.getstate() == theirs.getstate()
+
+
+def reference_sample(g_seed, n, k, forbid_regular):
+    """The sampler written with the library's ``choice``, ``randrange`` and
+    ``randint`` and one set of neighbours per vertex: the reference that
+    random_connected_bounded must equal."""
+    rng = random.Random(g_seed & (2 ** 64 - 1))
+    nbrs = [set() for _ in range(n)]
+    spare = [0]
+    for v in range(1, n):
+        u = rng.choice(spare)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        if len(nbrs[u]) == k:
+            spare.remove(u)
+        if k > 1:
+            spare.append(v)
+    for _ in range(rng.randint(0, 2 * n)):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v or v in nbrs[u] or max(len(nbrs[u]), len(nbrs[v])) >= k:
+            continue
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    g = build_graph(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
+    if forbid_regular and 2 * g.edge_count == n * k:
+        g = _drop_non_bridge(g)
+    return g
+
+
+def test_samples_equal_the_library_draw_reference():
+    rng = random.Random(500)
+    cases = [(rng.getrandbits(64), 10 ** 4, 3, False)]
+    for i in range(600):
+        n = rng.randint(1, 500)
+        k = rng.randint(1 if n <= 2 else 2, 12)
+        forbid = i % 2 == 1 and (n, k) != (2, 1)
+        cases.append((rng.getrandbits(64), n, k, forbid))
+    # small orders, where regular samples and their trims are common
+    for n in range(1, 9):
+        for k in range(1 if n <= 2 else 2, n + 1):
+            for forbid in (False, True):
+                if forbid and (n, k) == (2, 1):
+                    continue
+                cases += [(seed, n, k, forbid) for seed in range(10)]
+    for case in cases:
+        assert random_connected_bounded(*case) == reference_sample(*case), \
+            case
 
 
 @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 14), st.integers(2, 6))
