@@ -11,19 +11,22 @@ For connected graphs the additive constants improve, with exceptional
 constants for k-regular graphs of a few small orders. Every bound assumes
 maximum degree at most k, so a graph is k-regular exactly when 2m = kn,
 and regularity is read from that identity rather than passed in.
-Connected k-regular graphs additionally have a reference bound in n
-alone, and subcubic graphs a bound from the degree counts.
 
 The coefficients are written once, as Fractions, in
 :func:`general_coefficients` and :func:`density_coefficients`. Every bound
-is affine in n, m and the component count c (the subcubic one in the
-degree counts and c), so :func:`bound_rows` scales each one, once per k,
-to an integer row with ``D*bound = A*n + B*m - C*c - const``. A bound is
-then checked by one integer comparison, ``D*alpha' >= A*n + B*m - C*c -
-const``: :func:`evaluate_bounds` gives each bound's numerator and scale D,
-the fuzzer compares them with alpha' directly, and a ``Fraction`` is built
-only for an entry that is printed, in :func:`audit_graph`, which reports
-the slack of each bound against the true matching number.
+is affine in n, m and the component count c, so :func:`bound_rows` scales
+each one, once per k, to an integer row with
+``D*bound = A*n + B*m - C*c - const``. Two more bounds are read off these
+rows rather than written again: the reference bound of connected k-regular
+graphs, in n alone, is the last connected row at c = 1 and m = kn/2 (for
+even k capped by (n-1)/2), and the subcubic profile bound is the general
+row at k = 3 over the non-isolated vertices.
+
+A bound is checked by one integer comparison, ``D*alpha' >= A*n + B*m -
+C*c - const``: :func:`evaluate_bounds` gives each bound's numerator and
+scale D, the fuzzer compares them with alpha' directly, and a ``Fraction``
+is built only for an entry that is printed, in :func:`audit_graph`, which
+reports the slack of each bound against the true matching number.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ class BoundRows:
     general: BoundRow
     density: BoundRow | None  # even k only
     connected: tuple[BoundRow, ...]
-    # the regular reference bound is the least of these; m_coeff is 0 and
-    # all share one scale
+    # the regular reference bound is the least of these; m_coeff and c_coeff
+    # are 0 and all share one scale
     reference: tuple[BoundRow, ...]
 
 
@@ -127,32 +130,35 @@ def bound_rows(k: int) -> BoundRows:
     sets once per k; the frozen result is shared."""
     cs = general_coefficients(k)
     general = _row("general", cs.a, cs.b, c_coeff=cs.a)
-    pieces = kregular_reference_pieces(k)
-    scale = lcm(*(x.denominator for piece in pieces for x in piece))
-    reference = tuple(
-        BoundRow("regular_reference", scale, int(coeff * scale), 0, 0,
-                 int(-const * scale))
-        for coeff, const in pieces)
     if k % 2:
-        return BoundRows(general, None,
-                         (_row("connected_odd", cs.a, cs.b, const=cs.a),),
-                         reference)
-
-    ds = density_coefficients(k)
-    den = k * k + k + 2
-    density_regular = {k + 1: Fraction(k + 2, den), k + 3: Fraction(4, den)}
-    if k == 4:
-        density_regular[9] = Fraction(2, den)
-    connected = (
-        _row("connected_even", cs.a, cs.b, const=Fraction(1, k * (k + 1)),
-             regular={k + 1: Fraction(1, k),
-                      k + 3: Fraction(3, k * (k + 1))}),
-        _row("connected_even_weak", cs.a, cs.b, const=Fraction(1, k)),
-        _row("connected_even_density", -ds.a, ds.b,
-             regular=density_regular),
-    )
-    return BoundRows(general, _row("density", -ds.a, ds.b), connected,
-                     reference)
+        density = None
+        connected = (_row("connected_odd", cs.a, cs.b, const=cs.a),)
+    else:
+        ds = density_coefficients(k)
+        den = k * k + k + 2
+        dense = {k + 1: Fraction(k + 2, den), k + 3: Fraction(4, den)}
+        if k == 4:
+            dense[9] = Fraction(2, den)
+        density = _row("density", -ds.a, ds.b)
+        connected = (
+            _row("connected_even", cs.a, cs.b, const=Fraction(1, k * (k + 1)),
+                 regular={k + 1: Fraction(1, k),
+                          k + 3: Fraction(3, k * (k + 1))}),
+            _row("connected_even_weak", cs.a, cs.b, const=Fraction(1, k)),
+            _row("connected_even_density", -ds.a, ds.b, regular=dense),
+        )
+    # The regular reference: 2*D*bound of the last connected row (scale D)
+    # at c = 1 and m = k*n/2, its regular exceptions left out, and for even
+    # k the (n-1)/2 cap on the same scale.
+    last = connected[-1]
+    scale = 2 * last.scale
+    reference = (BoundRow("regular_reference", scale,
+                          2 * last.n_coeff + k * last.m_coeff, 0, 0,
+                          2 * (last.c_coeff + last.const)),)
+    if k % 2 == 0:
+        reference += (BoundRow("regular_reference", scale, last.scale, 0, 0,
+                               last.scale),)
+    return BoundRows(general, density, connected, reference)
 
 
 def connected_lower_bounds(n: int, m: int, k: int
@@ -167,20 +173,6 @@ def connected_lower_bounds(n: int, m: int, k: int
     regular = 2 * m == n * k
     return [(row.name, Fraction(row.numerator(n, m, 1, regular), row.scale))
             for row in bound_rows(k).connected]
-
-
-def kregular_reference_pieces(k: int) -> list[tuple[Fraction, Fraction]]:
-    """Affine pieces (coeff, const) of the connected k-regular reference bound.
-
-    The bound at order n is the least ``coeff*n + const`` over the pieces:
-    the connected bound at m = k*n/2 and, for even k, the (n-1)/2 cap.
-    """
-    if k % 2 == 0:
-        ds = density_coefficients(k)
-        return [(ds.b * k / 2 - ds.a, Fraction(0)),
-                (Fraction(1, 2), Fraction(-1, 2))]
-    cs = general_coefficients(k)
-    return [(cs.a + cs.b * k / 2, -cs.a)]
 
 
 def format_decimal(x: Fraction) -> str:
@@ -225,11 +217,6 @@ class BoundReport:
                 return e
         raise KeyError(name)
 
-
-# The subcubic profile bound, for maximum degree at most 3, scaled by 9:
-# 9*bound = 2*n1 + 3*n2 + 4*n3 - c, where n_d counts the vertices of degree d.
-SUBCUBIC_SCALE = 9
-SUBCUBIC_DEGREE_COEFFS = ((1, 2), (2, 3), (3, 4))
 
 # (name, reason, numerator, scale): see evaluate_bounds
 Evaluation = tuple[str, str, int | None, int]
@@ -281,11 +268,12 @@ def evaluate_bounds(g: Graph, k: int) -> list[Evaluation]:
     cubic_reason = empty or ("maximum degree exceeds 3"
                              if profile.max_degree > 3 else "")
     cubic = None
+    cubic_row = bound_rows(3).general
     if not cubic_reason:
-        counts = profile.degree_counts
-        cubic = sum(coeff * counts.get(d, 0)
-                    for d, coeff in SUBCUBIC_DEGREE_COEFFS) - c
-    out.append(("subcubic_profile", cubic_reason, cubic, SUBCUBIC_SCALE))
+        # with n_d vertices of degree d, 2*n1 + 3*n2 + 4*n3 = (n - n0) + 2*m
+        isolated = profile.component_sizes.count(1)
+        cubic = cubic_row.numerator(n - isolated, m, c, False)
+    out.append(("subcubic_profile", cubic_reason, cubic, cubic_row.scale))
     return out
 
 

@@ -20,7 +20,7 @@ import argparse
 
 from matchbound import __version__
 from matchbound.bounds import (BoundReport, audit_graph, bound_rows,
-                               format_decimal, kregular_reference_pieces)
+                               format_decimal)
 from matchbound.edgelist import emit_edge_list, parse_edge_list, to_dot
 from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
                                  canonical_tree, regular_gadget_ring,
@@ -353,8 +353,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.which == "1":
         print("k,n_coeff,constant,cap_n_coeff,cap_constant")
         for k in range(3, 9):
-            cells = [str(x) for piece in kregular_reference_pieces(k)
-                     for x in piece]
+            cells = [str(Fraction(x, row.scale))
+                     for row in bound_rows(k).reference
+                     for x in (row.n_coeff, -row.const)]
             print(",".join([str(k), *cells] + [""] * (4 - len(cells))))
         return 0
     print("k,scale,n_coeff,m_coeff,constant,n_coeff_dec,m_coeff_dec")

@@ -70,8 +70,8 @@ def _parse_lines(text: str) -> Graph:
     if header is None:
         raise EdgeListError("no header line found")
 
-    lineno, fields = header
-    n, m = _pair(lineno, fields, "header must be 'n m'",
+    lineno, body = header
+    n, m = _pair(lineno, body, "header must be 'n m'",
                  "header must be two integers")
     if n < 0 or m < 0:
         raise EdgeListError(f"line {lineno}: header values must be >= 0")
@@ -89,8 +89,8 @@ def _parse_lines(text: str) -> Graph:
         raise EdgeListError(f"header promises {m} edge lines, found {found}")
 
     edges: list[tuple[int, int]] = []
-    for lineno, fields in body_rows:
-        u, v = _pair(lineno, fields, "edge must be 'u v'",
+    for lineno, body in body_rows:
+        u, v = _pair(lineno, body, "edge must be 'u v'",
                      "edge endpoints must be integers")
         if not u < v:
             raise EdgeListError(
@@ -106,9 +106,10 @@ def _parse_lines(text: str) -> Graph:
             f"line {body_rows[exc.index][0]}: {exc}") from None
 
 
-def _pair(lineno: int, fields: list[str], shape_fault: str,
+def _pair(lineno: int, body: str, shape_fault: str,
           int_fault: str) -> tuple[int, int]:
     """The two integers of a header or edge line, or its fault, worded."""
+    fields = body.split()
     if len(fields) != 2:
         raise EdgeListError(
             f"line {lineno}: {shape_fault}, got {' '.join(fields)!r}")
@@ -118,12 +119,14 @@ def _pair(lineno: int, fields: list[str], shape_fault: str,
         raise EdgeListError(f"line {lineno}: {int_fault}") from None
 
 
-def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each significant line, read as needed."""
+def _rows(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each significant line, its comment and outer
+    blanks stripped, read as needed. A kept row is one string: `_pair`
+    splits it only when it parses it, so no list of fields is held."""
     for lineno, raw in enumerate(_lines(text), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            yield lineno, body.split()
+            yield lineno, body
 
 
 def _lines(text: str) -> Iterator[str]:

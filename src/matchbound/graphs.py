@@ -10,18 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 # Largest order an input or a generator may ask for: building a graph peaks
 # at about 73 bytes per vertex even without edges (tracemalloc, n = 10^6),
 # so this caps the vertices of one graph at about 0.7 GB.
 MAX_VERTICES = 10 ** 7
 # Largest size an input or a generator may ask for. Beyond its vertices,
-# build_graph peaks at 65-105 bytes per edge, and a whole generated member
-# or parsed edge list at 190-300 (tracemalloc, m/n 1 to 20; the generator's
-# own edge list and the parser's integers included, the text not), so this
-# caps one graph at about 3.7 GB with MAX_VERTICES.
+# build_graph peaks at 65-105 bytes per edge, a whole generated member or
+# edge list read in bulk at 190-300, and one read line by line at 355-395
+# (tracemalloc, m/n 1 to 20; the generator's own edge list and the parser's
+# rows and integers included, the text not), so this caps one graph at
+# about 3.7 GB with MAX_VERTICES, or 4.7 GB read line by line.
 MAX_EDGES = 10 ** 7
 
 
@@ -63,14 +63,13 @@ class Graph:
 
     @cached_property
     def structure(self) -> Structure:
-        """Components, degrees and BFS parity, from one scan on first use."""
+        """Components, degrees and BFS parity, computed on first use."""
         adjacency = self.adjacency
         n = self.vertex_count
         seen = [False] * n
         parity = [0] * n
         sizes: list[int] = []
         common: list[int | None] = []
-        counts: dict[int, int] = {}
         for start in range(n):
             if seen[start]:
                 continue
@@ -78,9 +77,7 @@ class Graph:
             degree: int | None = len(adjacency[start])
             queue = [start]
             for v in queue:
-                d = len(adjacency[v])
-                counts[d] = counts.get(d, 0) + 1
-                if d != degree:
+                if len(adjacency[v]) != degree:
                     degree = None
                 for u in adjacency[v]:
                     if not seen[u]:
@@ -89,8 +86,8 @@ class Graph:
                         queue.append(u)
             sizes.append(len(queue))
             common.append(degree)
-        return Structure(tuple(sizes), tuple(common), max(counts, default=0),
-                         MappingProxyType(counts), tuple(parity))
+        return Structure(tuple(sizes), tuple(common),
+                         max(map(len, adjacency), default=0), tuple(parity))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -159,7 +156,6 @@ class Structure:
     # the degree shared by every vertex of a component, None if they differ
     component_degree: tuple[int | None, ...]
     max_degree: int
-    degree_counts: Mapping[int, int]  # read-only: every caller shares it
     # BFS depth mod 2 from the lowest vertex of the vertex's component
     parity: tuple[int, ...]
 
@@ -174,7 +170,7 @@ def components(g: Graph) -> Structure:
 
 
 def degree_profile(g: Graph) -> Structure:
-    """Maximum degree and degree counts: the shared :attr:`Graph.structure`."""
+    """Maximum degree: the shared :attr:`Graph.structure` of g."""
     return g.structure
 
 

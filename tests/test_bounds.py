@@ -311,6 +311,27 @@ def test_audit_output_matches_the_recorded_digest(tmp_path, capsys):
 
 # --- integer rows against a Fraction reference -------------------------
 
+def reference_pieces(k):
+    """Affine pieces (coeff, const) of the connected k-regular reference
+    bound, the least ``coeff*n + const``: the connected bound at m = k*n/2
+    and, for even k, the (n-1)/2 cap."""
+    if k % 2 == 0:
+        ds = density_coefficients(k)
+        return [(ds.b * k / 2 - ds.a, F(0)), (F(1, 2), F(-1, 2))]
+    cs = general_coefficients(k)
+    return [(cs.a + cs.b * k / 2, -cs.a)]
+
+
+def test_reference_rows_equal_the_fraction_pieces():
+    for k in range(3, 80):
+        rows = bound_rows(k).reference
+        assert all((row.m_coeff, row.c_coeff, row.scale)
+                   == (0, 0, rows[0].scale) for row in rows), k
+        pieces = [(F(row.n_coeff, row.scale), F(-row.const, row.scale))
+                  for row in rows]
+        assert pieces == reference_pieces(k), k
+
+
 def reference_bounds(g, k):
     """Each bound that applies to g at k, computed in Fractions straight
     from the coefficient sets, independently of the integer rows."""
@@ -341,13 +362,11 @@ def reference_bounds(g, k):
         out["connected_even_density"] = (ds.b * m - ds.a * n
                                          - dense.get(regular_n, 0))
     if regular_n is not None:
-        if k % 2:
-            out["regular_reference"] = (cs.a + cs.b * k / 2) * n - cs.a
-        else:
-            out["regular_reference"] = min((ds.b * k / 2 - ds.a) * n,
-                                           F(n - 1, 2))
-    if n >= 1 and s.max_degree <= 3:
-        counts = s.degree_counts
+        out["regular_reference"] = min(coeff * n + const
+                                       for coeff, const in reference_pieces(k))
+    degrees = [g.degree(v) for v in range(n)]
+    if n >= 1 and max(degrees) <= 3:
+        counts = {d: degrees.count(d) for d in degrees}
         out["subcubic_profile"] = (F(4 * counts.get(3, 0), 9)
                                    + F(counts.get(2, 0), 3)
                                    + F(2 * counts.get(1, 0), 9) - F(c, 9))

@@ -441,18 +441,38 @@ def readme_examples():
     return examples
 
 
-def test_readme_examples_match_the_cli_output(capsys):
+def readme_block(heading):
+    """The body of the first fenced block after the README line `heading`."""
+    text = README.read_text()
+    fence = text.index("```", text.index(heading + "\n"))
+    start = text.index("\n", fence) + 1
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples_match_the_cli_output(tmp_path, capsys, monkeypatch):
     examples = readme_examples()
+    monkeypatch.chdir(tmp_path)
+    # the complete graph on five vertices shown under the file format
+    Path("k5.txt").write_text(readme_block("## Graph file format"))
     for command in ("region --k 4", "region --k 4 --point -1/11,3/11",
-                    "tables --which 1", "tables --which 2"):
+                    "tables --which 1", "tables --which 2",
+                    "matching k5.txt", "tutte-berge k5.txt",
+                    "audit k5.txt --k 4",
+                    "construct gkr --k 4 --r 2 --blocks gssgsgs "
+                    "--out chain.txt",
+                    "matching chain.txt"):
         shown = examples["matchbound " + command]
         code, out, _ = invoke(capsys, *command.split())
         assert code == 0
         printed = out.splitlines()
-        if shown[-1] == "...":  # the README shows only the first rows
+        if shown and shown[-1] == "...":  # the README shows the first rows
             shown = shown[:-1]
             printed = printed[:len(shown)]
         assert printed == shown, command
+    sidecar = json.loads(Path("chain.txt.json").read_text())
+    assert (sidecar["n"], sidecar["m"], sidecar["alpha_predicted"]) == (
+        21, 35, 8)
+    exec(readme_block("## Library"), {})
 
 
 def test_version_flag(capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from matchbound import edgelist
 from matchbound.edgelist import (EdgeListError, emit_edge_list,
                                  parse_edge_list, to_dot)
+from matchbound.families import block_chain
 from matchbound.graphs import Graph, build_graph
 
 
@@ -224,6 +225,23 @@ def test_lines_past_the_promised_count_are_counted_not_kept():
     # one copy of the text for the shape check and one piece of lines at a
     # time; every line and row of the text at once take about 75 times it
     assert peak < 4 * len(text)
+
+
+def test_line_route_peak_per_edge():
+    # a gkr k=4 member with a comment on every line, read line by line;
+    # the bulk read of the plain file peaks at about 266 bytes per edge
+    plain = emit_edge_list(block_chain(4, 1250).graph)
+    text = plain.replace("\n", " # c\n")
+    assert not edgelist._is_canonical(text)
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emit_edge_list(g) == plain
+    # 393 on this file; holding the split fields of every row took 593
+    assert peak / g.edge_count < 450
 
 
 @pytest.mark.parametrize("text", [

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,8 +73,7 @@ def test_degree_profile_counts():
     star = build_graph(5, [(0, i) for i in range(1, 5)])
     prof = degree_profile(star)
     assert prof.max_degree == 4
-    assert prof.degree_counts[1] == 4
-    assert prof.degree_counts[4] == 1
+    assert prof.component_degree == (None,)  # the centre and leaves differ
 
 
 def test_regularity_per_component():
@@ -151,9 +152,7 @@ def test_structure_matches_a_plain_recomputation(g):
         expected = tuple(all(g.degree(v) == k for v in reach[low])
                          for low in lows)
         assert is_k_regular(g, k).per_component == expected
-    degrees = [g.degree(v) for v in range(n)]
-    assert dict(s.degree_counts) == {d: degrees.count(d) for d in degrees}
-    assert s.max_degree == max(degrees, default=0)
+    assert s.max_degree == max(map(g.degree, range(n)), default=0)
     # parity of the distance from the lowest vertex of each component
     for low in lows:
         dist = {low: 0}
@@ -171,9 +170,9 @@ def test_structure_is_shared_and_read_only():
     g = build_graph(4, [(0, 1), (1, 2)])
     assert components(g) is degree_profile(g) is g.structure
     assert components(g) is components(g)
-    with pytest.raises(TypeError):
-        degree_profile(g).degree_counts[1] = 5
-    assert degree_profile(g).degree_counts == {1: 2, 2: 1, 0: 1}
+    with pytest.raises(FrozenInstanceError):
+        degree_profile(g).max_degree = 5
+    assert degree_profile(g).max_degree == 2
 
 
 def reference_build(n, edges):
