@@ -82,28 +82,35 @@ def _parse_lines(text: str) -> Graph:
         raise EdgeListError(f"line {lineno}: m={m} exceeds the limit of "
                             f"{MAX_EDGES} edges")
 
-    # one row past the promise is enough to know the promise is broken
-    body_rows = list(islice(rows, m + 1))
-    if len(body_rows) != m:
-        found = len(body_rows) + sum(1 for _ in rows)
-        raise EdgeListError(f"header promises {m} edge lines, found {found}")
-
+    # each row is parsed as it is read and not kept; a broken promise of
+    # the header is reported before the first faulty line
     edges: list[tuple[int, int]] = []
-    for lineno, body in body_rows:
-        u, v = _pair(lineno, body, "edge must be 'u v'",
-                     "edge endpoints must be integers")
-        if not u < v:
-            raise EdgeListError(
-                f"line {lineno}: edge endpoints must satisfy u < v, "
-                f"got {u} {v}")
+    fault: EdgeListError | None = None
+    for lineno, body in islice(rows, m):
+        try:
+            u, v = _pair(lineno, body, "edge must be 'u v'",
+                         "edge endpoints must be integers")
+            if not u < v:
+                raise EdgeListError(
+                    f"line {lineno}: edge endpoints must satisfy u < v, "
+                    f"got {u} {v}")
+        except EdgeListError as exc:
+            fault = exc
+            break
         edges.append((u, v))
+    found = len(edges) + (fault is not None) + sum(1 for _ in rows)
+    if found != m:
+        raise EdgeListError(f"header promises {m} edge lines, found {found}")
+    if fault is not None:
+        raise fault
 
     try:
         return build_graph(n, edges)
     except GraphError as exc:
-        # every pair passed the checks above, so the error names one pair
-        raise EdgeListError(
-            f"line {body_rows[exc.index][0]}: {exc}") from None
+        # every pair passed the checks above, so the error names one pair;
+        # its line is read again, row 0 being the header
+        lineno, _ = next(islice(_rows(text), exc.index + 1, None))
+        raise EdgeListError(f"line {lineno}: {exc}") from None
 
 
 def _pair(lineno: int, body: str, shape_fault: str,
@@ -121,8 +128,7 @@ def _pair(lineno: int, body: str, shape_fault: str,
 
 def _rows(text: str) -> Iterator[tuple[int, str]]:
     """(line number, text) of each significant line, its comment and outer
-    blanks stripped, read as needed. A kept row is one string: `_pair`
-    splits it only when it parses it, so no list of fields is held."""
+    blanks stripped, read as needed."""
     for lineno, raw in enumerate(_lines(text), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:

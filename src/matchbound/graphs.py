@@ -18,10 +18,10 @@ from typing import Iterable, NamedTuple
 MAX_VERTICES = 10 ** 7
 # Largest size an input or a generator may ask for. Beyond its vertices,
 # build_graph peaks at 65-105 bytes per edge, a whole generated member or
-# edge list read in bulk at 190-300, and one read line by line at 355-395
+# edge list read in bulk at 190-300, and one read line by line at 205-245
 # (tracemalloc, m/n 1 to 20; the generator's own edge list and the parser's
-# rows and integers included, the text not), so this caps one graph at
-# about 3.7 GB with MAX_VERTICES, or 4.7 GB read line by line.
+# integers included, the text not), so this caps one graph at about 3.7 GB
+# with MAX_VERTICES.
 MAX_EDGES = 10 ** 7
 
 

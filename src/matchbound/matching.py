@@ -190,7 +190,7 @@ def maximum_matching(g: Graph) -> Matching:
 BLOCK_BITS = 18
 # Largest order the oracle takes, whatever max_n is. Its time doubles with
 # each vertex: one call on a path or a fuzz sample (k = 3 or 6) took
-# 0.11-0.13 s at n = 22, 2.1-3.0 s at 26, 9.7-13.6 s at 28 and 53-62 s at
+# 0.07-0.10 s at n = 22, 1.2-1.6 s at 26, 5.1-6.8 s at 28 and 19-35 s at
 # 30 (2-vCPU Xeon, Python 3.11).
 MAX_ORACLE_ORDER = 30
 
@@ -219,12 +219,18 @@ def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
       pair is kept across blocks.
     * Planes. ``member[v]`` marks the sets that contain v; ``rem[v]`` marks
       the sets in which v is outside X and not yet in a flooded component.
+    * Singletons. First, each vertex is cleared from ``rem`` in the sets
+      where no neighbor remains, and those sets gain one odd component.
     * Rounds. Each round seeds every set at its lowest remaining vertex,
-      floods over the adjacency until no plane changes, adds the parity of
-      the flooded components to a bit-sliced counter and clears them from
-      ``rem``. It ends when no set has a vertex left.
-    * Counter. It starts at the number of low vertices outside X, so it ends
-      at oc(g - X) minus |X| plus a constant of the block; filtering its
+      taking the seeds from a plane of the sets not yet seeded, so no plane
+      is complemented. It floods over the adjacency until no plane changes,
+      skips a vertex whose component already fills its ``rem`` and leaves
+      zero planes out. It adds the parity of the flooded components to the
+      counter and clears them from ``rem``. It ends when no set has a
+      vertex left.
+    * Counter. A bit-sliced counter starts at the number of low vertices
+      outside X, takes the singletons and each round, so it ends at
+      oc(g - X) minus |X| plus a constant of the block; filtering its
       planes from the top bit down keeps exactly the minimizing sets.
     * Witness. A greedy walk over ``member`` picks the least of them.
     """
@@ -260,16 +266,27 @@ def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
         rem = [full ^ plane for plane in member]
         rem += [0 if v in fixed else full for v in range(low, n)]
         counter = list(base)
+        # r ^ kept marks the sets where v is a component by itself
+        for v in range(n):
+            if r := rem[v]:
+                nbrs = 0
+                for u in adj[v]:
+                    if ru := rem[u]:
+                        nbrs |= ru
+                kept = r & nbrs
+                _count(counter, r ^ kept)
+                rem[v] = kept
         while True:
             comp = []
-            seen = 0
+            unseen = full
             for r in rem:
-                comp.append(r & ~seen)
-                seen |= r
-            if not seen:
+                if c := r & unseen:
+                    unseen ^= c
+                comp.append(c)
+            if unseen == full:
                 break
             # sweep until no plane changes; a vertex is recomputed only
-            # after a neighbor's plane grew
+            # after a neighbor's plane grew, and not once it fills rem[v]
             dirty = [True] * n
             changed = True
             while changed:
@@ -278,19 +295,25 @@ def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
                     if not dirty[v]:
                         continue
                     dirty[v] = False
-                    reach = comp[v]
+                    c = comp[v]
+                    r = rem[v]
+                    if c == r:
+                        continue
+                    reach = c
                     for u in adj[v]:
-                        reach |= comp[u]
-                    reach &= rem[v]
-                    if reach != comp[v]:
+                        if cu := comp[u]:
+                            reach |= cu
+                    reach &= r
+                    if reach != c:
                         comp[v] = reach
                         changed = True
                         for u in adj[v]:
                             dirty[u] = True
             parity = 0
             for v in range(n):
-                parity ^= comp[v]
-                rem[v] ^= comp[v]
+                if c := comp[v]:
+                    parity ^= c
+                    rem[v] ^= c
             _count(counter, parity)
         cand = full
         top = 0

@@ -187,6 +187,21 @@ def test_oracle_on_the_large_chain_instance():
     assert cert.witness == (0, 1)  # exactly the two connectors
 
 
+def test_oracle_across_blocks_of_the_real_size():
+    # n = 19 and 20 take 2 and 4 blocks of 2^BLOCK_BITS sets, so every pass
+    # of the oracle also runs with high vertices fixed inside X
+    rng = random.Random(19020)
+    for n, blocks in ((19, 2), (20, 4)):
+        assert 2 ** (n - matching.BLOCK_BITS) == blocks
+        for k in (3, 4, 6):
+            g = random_connected_bounded(rng.getrandbits(64), n, k)
+            assert g.structure.component_count == 1
+            cert = tutte_berge(g)
+            assert cert.value == maximum_matching(g).size
+            oc = odd_components_after_deletion(g, cert.witness)
+            assert n + len(cert.witness) - oc == 2 * cert.value
+
+
 # SHA-256 of the concatenated `matching` stdout over GOLDEN_FAMILY and the
 # 500 seeded samples below, recorded before the pruned blossom search
 # replaced the O(V^3) one: the witness must stay byte-identical.
