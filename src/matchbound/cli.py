@@ -27,8 +27,8 @@ from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
                                  tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, run_fuzz
 from matchbound.graphs import Graph
-from matchbound.matching import (MAX_ORACLE_ORDER, maximum_matching,
-                                 tutte_berge)
+from matchbound.matching import (DEFAULT_MAX_N, MAX_ORACLE_ORDER,
+                                 maximum_matching, tutte_berge)
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces, polygon_svg,
                                region_polygon)
@@ -95,9 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tutte-berge",
                        help="exhaustive deficiency-formula certificate")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=22,
-                   help="refuse graphs larger than this (default 22) or "
-                        f"than {MAX_ORACLE_ORDER}, the oracle order limit")
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                   help="refuse graphs larger than this (default %(default)s) "
+                        f"or than {MAX_ORACLE_ORDER}, the oracle order limit")
     p.set_defaults(handler=_cmd_tutte_berge)
 
     p = sub.add_parser("audit",
@@ -268,7 +268,11 @@ def _build_family(args: argparse.Namespace) -> GeneratedGraph:
                 "construct hkr takes --tree or --r/--mode, not both")
         backbone = _read_graph(args.tree)
         if args.part2 is not None:
-            part2 = [int(s) for s in args.part2.split(",")]
+            try:
+                part2 = [int(s) for s in args.part2.split(",")]
+            except ValueError:
+                raise ValueError("--part2 needs comma-separated vertex ids, "
+                                 f"got {args.part2!r}") from None
         else:
             part2 = [v for v, odd in enumerate(backbone.structure.parity)
                      if odd]

@@ -3,7 +3,7 @@
 Graphs are immutable after construction: dense 0-based vertex ids and sorted
 adjacency tuples, O(n + m) in all. The structural queries walk a graph only
 by one BFS, which builds the cached :class:`Structure` that components,
-degrees, regularity and odd components of G - X are read from.
+degrees and regularity are read from, and floods G - X in place.
 """
 
 from __future__ import annotations
@@ -64,30 +64,34 @@ class Graph:
     @cached_property
     def structure(self) -> Structure:
         """Components, degrees and BFS parity, computed on first use."""
-        adjacency = self.adjacency
-        n = self.vertex_count
-        seen = [False] * n
-        parity = [0] * n
-        sizes: list[int] = []
-        common: list[int | None] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            degree: int | None = len(adjacency[start])
-            queue = [start]
-            for v in queue:
-                if len(adjacency[v]) != degree:
-                    degree = None
-                for u in adjacency[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        parity[u] = parity[v] ^ 1
-                        queue.append(u)
-            sizes.append(len(queue))
-            common.append(degree)
-        return Structure(tuple(sizes), tuple(common),
-                         max(map(len, adjacency), default=0), tuple(parity))
+        return _flood(self.adjacency, [False] * self.vertex_count)
+
+
+def _flood(adjacency: tuple[tuple[int, ...], ...],
+           seen: list[bool]) -> Structure:
+    """The one BFS, over the vertices not yet `seen`. With X marked first, the
+    sizes are those of G - X; the other fields still describe degrees in G."""
+    parity = [0] * len(seen)
+    sizes: list[int] = []
+    common: list[int | None] = []
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        degree: int | None = len(adjacency[start])
+        queue = [start]
+        for v in queue:
+            if len(adjacency[v]) != degree:
+                degree = None
+            for u in adjacency[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    parity[u] = parity[v] ^ 1
+                    queue.append(u)
+        sizes.append(len(queue))
+        common.append(degree)
+    return Structure(tuple(sizes), tuple(common),
+                     max(map(len, adjacency), default=0), tuple(parity))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -177,18 +181,15 @@ def degree_profile(g: Graph) -> Structure:
 def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
     """Number of odd-order components of the graph with `deleted` removed.
 
-    Read off the :attr:`Graph.structure` of G - X kept on all n vertices, in
-    which each deleted vertex is an odd singleton, subtracted again."""
+    One BFS of G - X in place: the deleted vertices are marked seen before
+    the flood, so it never enters them, and the odd sizes are summed."""
     n = g.vertex_count
-    gone: set[int] = set()
+    seen = [False] * n
     for v in deleted:
         if not 0 <= v < n:
             raise GraphError(f"vertex {v} out of range for n={n}")
-        gone.add(v)
-    rest = build_graph(n, [(u, v) for u, nbrs in enumerate(g.adjacency)
-                           if u not in gone
-                           for v in nbrs if u < v and v not in gone])
-    return sum(s & 1 for s in rest.structure.component_sizes) - len(gone)
+        seen[v] = True
+    return sum(s & 1 for s in _flood(g.adjacency, seen).component_sizes)
 
 
 class Regularity(NamedTuple):

@@ -188,10 +188,11 @@ def maximum_matching(g: Graph) -> Matching:
 # the oracle evaluates its 2^n vertex sets in blocks of 2^BLOCK_BITS, so its
 # planes hold 2^BLOCK_BITS bits and its memory does not grow with n
 BLOCK_BITS = 18
-# Largest order the oracle takes, whatever max_n is. Its time doubles with
-# each vertex: one call on a path or a fuzz sample (k = 3 or 6) took
-# 0.07-0.10 s at n = 22, 1.2-1.6 s at 26, 5.1-6.8 s at 28 and 19-35 s at
-# 30 (2-vCPU Xeon, Python 3.11).
+# The oracle's max_n unless its caller raises it, and the largest order it
+# takes whatever max_n is. Its time doubles with each vertex: one call on a
+# path or a fuzz sample (k = 3 or 6) took 0.07-0.10 s at n = 22, 1.2-1.6 s
+# at 26, 5.1-6.8 s at 28 and 19-35 s at 30 (2-vCPU Xeon, Python 3.11).
+DEFAULT_MAX_N = 22
 MAX_ORACLE_ORDER = 30
 
 
@@ -205,7 +206,7 @@ class TutteBergeCertificate:
     witness: tuple[int, ...]
 
 
-def tutte_berge(g: Graph, max_n: int = 22) -> TutteBergeCertificate:
+def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
     """Minimize (n + |X| - odd_components(g - X)) / 2 over vertex sets X.
 
     Returns the minimum — which equals the matching number (Berge 1958) —

@@ -121,11 +121,7 @@ def region_polygon(k: int, bbox: tuple[Fraction, Fraction, Fraction, Fraction]
     # Each cap has negative slope through an extreme point inside the box, so
     # the box's lower-left corner lies strictly inside every cap: it stays
     # first, and a vertex on a cap line is repeated only next to itself.
-    deduped: list[Point] = []
-    for q in poly:
-        if not deduped or q != deduped[-1]:
-            deduped.append(q)
-    return deduped
+    return [q for i, q in enumerate(poly) if i == 0 or q != poly[i - 1]]
 
 
 def _clip(poly: list[Point], cap: HalfSpace) -> list[Point]:
@@ -133,12 +129,9 @@ def _clip(poly: list[Point], cap: HalfSpace) -> list[Point]:
     for i, cur in enumerate(poly):
         nxt = poly[(i + 1) % len(poly)]
         cur_in = cap.contains(cur)
-        nxt_in = cap.contains(nxt)
         if cur_in:
             out.append(cur)
-            if not nxt_in:
-                out.append(_cross(cur, nxt, cap))
-        elif nxt_in:
+        if cur_in != cap.contains(nxt):
             out.append(_cross(cur, nxt, cap))
     return out
 

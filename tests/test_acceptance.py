@@ -9,6 +9,7 @@ with time.monotonic and fail when over budget.
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 from matchbound.bounds import audit_graph, bound_rows, format_decimal
@@ -21,17 +22,7 @@ from matchbound.matching import maximum_matching, tutte_berge, verify_matching
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces)
 
-
-def complete(n):
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def circulant(n, offsets):
-    edges = set()
-    for i in range(n):
-        for o in offsets:
-            edges.add(tuple(sorted((i, (i + o) % n))))
-    return build_graph(n, sorted(edges))
+from graph_helpers import circulant, complete
 
 
 def envelope(k, gamma):
@@ -94,6 +85,20 @@ def test_odd_components_after_deletion_at_100k_vertices():
                     stack.append(u)
         expected += size % 2
     assert odd == expected
+
+
+def test_odd_components_after_deletion_floods_in_place():
+    # G - X is flooded over the adjacency of G, not built as a second graph,
+    # so the peak is the seen mask and the BFS state: about 2.5 MiB here
+    g = block_chain(4, 6250).graph
+    deleted = range(0, g.vertex_count, 7)
+    tracemalloc.start()
+    try:
+        odd_components_after_deletion(g, deleted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_fuzz_sample_at_100k_vertices():

@@ -335,6 +335,10 @@ def test_a_long_number_is_reported_with_its_line_by_either_route(
     (["construct", "hkr", "--k", "3", "--tree", "EDGE", "--part2", "5"],
      "part-2 ids out of range"),
     (["region", "--k", "2"], "extreme_points needs k >= 3, got 2"),
+    (["construct", "hkr", "--k", "3", "--tree", "EDGE", "--part2", "x"],
+     "--part2 needs comma-separated vertex ids, got 'x'"),
+    (["construct", "hkr", "--k", "3", "--tree", "EDGE", "--part2", "1,,2"],
+     "--part2 needs comma-separated vertex ids, got '1,,2'"),
 ])
 def test_bad_family_and_region_parameters_exit_2(tmp_path, capsys, argv,
                                                  message):

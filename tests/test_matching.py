@@ -16,32 +16,11 @@ from matchbound.graphs import build_graph, odd_components_after_deletion
 from matchbound.matching import (Matching, OracleSizeError, maximum_matching,
                                  tutte_berge, verify_matching)
 
-
-def path(n):
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+from graph_helpers import circulant, complete, disjoint, path, petersen
 
 
 def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, n - 1)])
-
-
-def complete(n):
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def circulant(n, offsets):
-    edges = set()
-    for i in range(n):
-        for o in offsets:
-            edges.add(tuple(sorted((i, (i + o) % n))))
-    return build_graph(n, sorted(edges))
-
-
-def petersen():
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return build_graph(10, [tuple(sorted(e)) for e in edges])
 
 
 def test_paths_and_cycles():
@@ -291,14 +270,6 @@ def brute_force_tutte_berge(g):
     return best[0] // 2, best[1]
 
 
-def disjoint_union(*graphs):
-    edges, offset = [], 0
-    for g in graphs:
-        edges += [(u + offset, v + offset) for u, v in g.edges()]
-        offset += g.vertex_count
-    return build_graph(offset, edges)
-
-
 def unpruned_enumeration_graphs():
     """Small seeded graphs (connected, disconnected and edgeless) checked
     against brute_force_tutte_berge."""
@@ -316,7 +287,7 @@ def unpruned_enumeration_graphs():
     for _ in range(20):
         a = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 5), 3)
         b = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 5), 4)
-        graphs.append(disjoint_union(a, b))
+        graphs.append(disjoint(a, b))
     return graphs
 
 
@@ -378,7 +349,7 @@ def oracle_golden_graphs():
                                      rng.randint(2, 6))
         b = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 8),
                                      rng.randint(2, 6))
-        graphs.append(disjoint_union(a, b))
+        graphs.append(disjoint(a, b))
     for _ in range(100):
         n = rng.randint(0, 11)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
