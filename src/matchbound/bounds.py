@@ -32,7 +32,6 @@ reports the slack of each bound against the true matching number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -176,10 +175,11 @@ def connected_lower_bounds(n: int, m: int, k: int
 
 
 def format_decimal(x: Fraction) -> str:
-    """Round-half-even decimal string with five places."""
-    d = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
-        Decimal("0.00001"), rounding=ROUND_HALF_EVEN)
-    return str(d)
+    """Round-half-even decimal string with five places, rounded once and
+    exactly at any magnitude (``round`` of a Fraction ties to even)."""
+    q = abs(round(x * 100000))
+    sign = "-" if x < 0 else ""
+    return f"{sign}{q // 100000}.{q % 100000:05d}"
 
 
 @dataclass(frozen=True)

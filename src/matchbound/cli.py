@@ -5,7 +5,7 @@ malformed files), 1 a detected mathematical violation (a bound exceeding
 the matching number under audit or fuzz). Data goes to stdout or named
 output files; diagnostics go to stderr. Identical invocations produce
 byte-identical output. Rationals are serialized as exact "p/q" strings;
-decimal columns are advisory, five places, round-half-even.
+decimal columns are the exact half-even rounding to five places.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 from matchbound.bounds import evaluate_bounds
@@ -33,11 +34,11 @@ from matchbound.graphs import Graph, build_graph, components
 from matchbound.matching import maximum_matching
 
 _MASK64 = (1 << 64) - 1
-# Largest order a fuzz sample may have. At n = 10^5 one sample takes
-# 0.7-1.6 s at k = 3..10 and peaks at 414 (k = 3) to 580 (k = 10) bytes per
-# vertex, while matching it and evaluating its bounds takes 0.35 s at k = 3
-# and 3-4 s at k = 4..10 (tracemalloc; 2-vCPU Xeon, Python 3.11), so the
-# limit is now held by the matching, not by the sampler.
+# Largest order a fuzz sample may have. At n = 10^5 (seed 777) one sample
+# takes 0.8-1.0 s at k = 3..10 and peaks at 427 (k = 3) to 647 (k = 7) bytes
+# per vertex, while matching it and evaluating its bounds takes 2.8-3.6 s at
+# k = 3..5 and 5.2-6.5 s at k = 6..10 (tracemalloc; 2-vCPU Xeon, Python
+# 3.11), so the limit is held by the matching, not by the sampler.
 MAX_FUZZ_ORDER = 10 ** 5
 
 
@@ -119,14 +120,12 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
     rng = random.Random(g_seed & _MASK64)
     bits = rng.getrandbits
     deg = [0] * n
-    pairs: list[tuple[int, int]] = []  # (u, v) with u < v
-    keys: set[int] = set()  # u * n + v for each pair
+    keys: set[int] = set()  # u * n + v for each drawn edge, u < v
 
     spare = [0]  # vertices below v with degree < k, in increasing order
     for v in range(1, n):
         i = _below(bits, len(spare))
         u = spare[i]
-        pairs.append((u, v))
         keys.add(u * n + v)
         deg[u] += 1
         deg[v] = 1
@@ -145,18 +144,18 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
             v = bits(w)
         if u == v or deg[u] >= k or deg[v] >= k:
             continue
-        if u > v:
-            u, v = v, u
-        key = u * n + v
+        key = u * n + v if u < v else v * n + u
         if key in keys:
             continue
         keys.add(key)
-        pairs.append((u, v))
         deg[u] += 1
         deg[v] += 1
 
-    pairs.sort()
-    g = build_graph(n, pairs)
+    # sorted keys are the pairs in lexicographic order; with the set dropped
+    # and the pairs decoded lazily, only build_graph's list holds tuples
+    order = sorted(keys)
+    del keys
+    g = build_graph(n, map(divmod, order, repeat(n)))
     if forbid_regular and 2 * g.edge_count == n * k:
         g = _drop_non_bridge(g)
     return g

@@ -19,7 +19,6 @@ Both are deterministic for a fixed input encoding.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from matchbound.graphs import Graph
@@ -83,9 +82,6 @@ def maximum_matching(g: Graph) -> Matching:
     uf = list(range(n))
     in_queue = [False] * n
     dead = [False] * n
-    # seen[b] == stamp marks a base passed by the current ancestor walk
-    seen = [0] * n
-    stamp = 0
     touched: list[int] = []
 
     def find(x: int) -> int:
@@ -97,14 +93,13 @@ def maximum_matching(g: Graph) -> Matching:
     def find_common_ancestor(a: int, b: int) -> int:
         # climb from both ends in turn, so the walk is as long as the
         # blossom and not as deep as the tree; -1 is a walk past the root
-        nonlocal stamp
-        stamp += 1
+        passed: set[int] = set()
         while True:
             if a != -1:
                 a = find(a)
-                if seen[a] == stamp:
+                if a in passed:
                     return a
-                seen[a] = stamp
+                passed.add(a)
                 a = parent[match[a]] if match[a] != -1 else -1
             a, b = b, a
 
@@ -120,9 +115,8 @@ def maximum_matching(g: Graph) -> Matching:
     def find_augmenting_path(root: int) -> int:
         in_queue[root] = True
         touched.append(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        queue = [root]
+        for v in queue:
             base_v = find(v)
             for to in adj[v]:
                 if dead[to] or match[v] == to:
@@ -146,8 +140,9 @@ def maximum_matching(g: Graph) -> Matching:
                         if not in_queue[b]:
                             in_queue[b] = True
                             odd.append(b)
-                    # in id order, like every other scan, so the witness
-                    # depends only on the graph encoding
+                    # the search is deterministic without this sort; it
+                    # stays because the witnesses pinned by the recorded
+                    # `matching` digest were found in this order
                     odd.sort()
                     queue.extend(odd)
                     base_v = ancestor

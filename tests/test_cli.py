@@ -264,6 +264,14 @@ def test_region_explicit_bbox(tmp_path, capsys):
                             str(short), "--bbox", "-1/4,1/4,-1/2")
     assert code == 2 and out == "" and not short.exists()
     assert "--bbox needs 4 comma-separated rationals" in err
+    # a 27-digit corner is written in full, exactly
+    wide = tmp_path / "wide.csv"
+    code, _, err = invoke(capsys, "region", "--k", "4", "--polygon", str(wide),
+                          "--bbox=-100000000000000000000000000,1,-1,1")
+    assert (code, err) == (0, "")
+    assert wide.read_text().splitlines()[1] == (
+        "-100000000000000000000000000,-1,"
+        "-100000000000000000000000000.00000,-1.00000")
 
 def test_region_rejects_bad_points(capsys):
     assert invoke(capsys, "region", "--k", "4", "--point", "1/0,2")[0] == 2
