@@ -154,8 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", metavar="OUT.svg",
                    help="write an SVG rendering of the region")
     p.add_argument("--bbox", metavar="G0,G1,B0,B1",
-                   help="clip box for --polygon/--svg "
-                        "(default -1/4,1/4,-1/2,1/2)")
+                   help="clip box for --polygon/--svg (default "
+                        f"{','.join(map(str, DEFAULT_BBOX))})")
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("fuzz",

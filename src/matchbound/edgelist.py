@@ -118,8 +118,9 @@ def _pair(lineno: int, body: str, shape_fault: str,
     """The two integers of a header or edge line, or its fault, worded."""
     fields = body.split()
     if len(fields) != 2:
-        raise EdgeListError(
-            f"line {lineno}: {shape_fault}, got {' '.join(fields)!r}")
+        got = " ".join(fields)  # quoted to at most 40 characters
+        raise EdgeListError(f"line {lineno}: {shape_fault}, got "
+                            f"{got[:40]!r}{'...' if len(got) > 40 else ''}")
     try:
         return int(fields[0]), int(fields[1])
     except ValueError:

@@ -59,8 +59,8 @@ def maximum_matching(g: Graph) -> Matching:
     A search costs what it visits, not n:
 
     * A search that fails leaves a Hungarian tree, whose vertices lie on no
-      later augmenting path; they are marked dead and never scanned again
-      (Edmonds, "Paths, trees, and flowers", 1965).
+      later augmenting path; their union-find entries are set to -1 and the
+      scan skips them ever after (Edmonds, "Paths, trees, and flowers", 1965).
     * Each search lists the vertices it touches and resets only those.
     * Blossom bases live in a union-find forest (Gabow, JACM 23(2), 1976):
       contracting a blossom links the bases on its two paths to the common
@@ -78,10 +78,10 @@ def maximum_matching(g: Graph) -> Matching:
                     break
 
     parent = [-1] * n
-    # the blossom base of v is the root of v's tree in this forest
+    # v's blossom base is its root in this forest; -1 marks a failed tree's
+    # vertex: never again a root, base or live mate, so only the scan reads it
     uf = list(range(n))
     in_queue = [False] * n
-    dead = [False] * n
     touched: list[int] = []
 
     def find(x: int) -> int:
@@ -119,9 +119,9 @@ def maximum_matching(g: Graph) -> Matching:
         for v in queue:
             base_v = find(v)
             for to in adj[v]:
-                if dead[to] or match[v] == to:
-                    continue
                 base_to = uf[to]
+                if base_to < 0 or match[v] == to:
+                    continue
                 if uf[base_to] != base_to:
                     base_to = find(base_to)
                 if base_v == base_to:
@@ -161,9 +161,7 @@ def maximum_matching(g: Graph) -> Matching:
         if match[v] != -1:
             continue
         end = find_augmenting_path(v)
-        if end == -1:
-            for u in touched:
-                dead[u] = True
+        failed = end == -1
         while end != -1:
             prev = parent[end]
             nxt = match[prev]
@@ -172,7 +170,7 @@ def maximum_matching(g: Graph) -> Matching:
             end = nxt
         for u in touched:
             parent[u] = -1
-            uf[u] = u
+            uf[u] = -1 if failed else u
             in_queue[u] = False
         touched.clear()
 

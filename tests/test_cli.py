@@ -333,6 +333,20 @@ def test_a_long_number_is_reported_with_its_line_by_either_route(
     assert errs[0] == errs[1]
 
 
+def test_a_faulty_line_is_quoted_only_in_part(tmp_path, capsys):
+    for line, text in ((1, " ".join(["1"] * 10 ** 6) + "\n"),
+                       (2, "3 1\n" + " ".join(["0"] * 2 * 10 ** 6) + "\n"),
+                       (2, "3 1\n" + "7" * 10 ** 7 + "\n")):
+        code, out, err = invoke(capsys, "matching",
+                                write_graph(tmp_path, "long.el", text))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: line {line}: ") and len(err) < 200
+    # a quote that fits is given whole
+    code, _, err = invoke(capsys, "matching",
+                          write_graph(tmp_path, "short.el", "3 1\n0 1 2\n"))
+    assert err == "error: line 2: edge must be 'u v', got '0 1 2'\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["construct", "gkr", "--k", "3", "--r", "1"],
      "block_chain needs even k >= 4, got 3"),

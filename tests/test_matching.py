@@ -12,7 +12,8 @@ from matchbound.edgelist import emit_edge_list
 from matchbound.families import (block_chain, canonical_tree,
                                  regular_gadget_ring, tree_with_gadgets)
 from matchbound.fuzz import random_connected_bounded
-from matchbound.graphs import build_graph, odd_components_after_deletion
+from matchbound.graphs import (Graph, build_graph,
+                               odd_components_after_deletion)
 from matchbound.matching import (Matching, OracleSizeError, maximum_matching,
                                  tutte_berge, verify_matching)
 
@@ -155,6 +156,32 @@ def test_oracle_agrees_with_blossom_after_failed_searches():
         assert verify_matching(g, m)
         assert m.size == tutte_berge(g).value
         checked += 1
+
+
+class CountingAdjacency(tuple):
+    """An adjacency tuple that counts the lists read from it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+@pytest.mark.parametrize("member", [
+    lambda: block_chain(4, 60),
+    lambda: block_chain(4, 250, "singles"),
+    lambda: regular_gadget_ring(4, 91),
+    lambda: tree_with_gadgets(3, canonical_tree(3, 333, "tree")),
+], ids=["gkr-4-60", "gkr-4-250-singles", "fkr-4-91", "hkr-3-333-tree"])
+def test_failed_trees_are_never_scanned_again(member):
+    # almost every search on these members fails; its tree must not be
+    # scanned by a later search, or the reads grow to 20-64 per vertex
+    g = member().graph
+    adj = CountingAdjacency(g.adjacency)
+    counted = Graph(g.vertex_count, adj, g.edge_count)
+    assert maximum_matching(counted) == maximum_matching(g)
+    assert adj.reads <= 2 * g.vertex_count
 
 
 def test_oracle_on_the_large_chain_instance():
