@@ -20,7 +20,7 @@ from operator import lt
 from typing import Iterator
 
 from matchbound.graphs import (MAX_EDGES, MAX_VERTICES, Graph, GraphError,
-                               build_graph)
+                               build_graph, clip_field)
 
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
 
@@ -76,11 +76,11 @@ def _parse_lines(text: str) -> Graph:
     if n < 0 or m < 0:
         raise EdgeListError(f"line {lineno}: header values must be >= 0")
     if n > MAX_VERTICES:
-        raise EdgeListError(f"line {lineno}: n={n} exceeds the limit of "
-                            f"{MAX_VERTICES} vertices")
+        raise EdgeListError(f"line {lineno}: n={clip_field(n)} exceeds the "
+                            f"limit of {MAX_VERTICES} vertices")
     if m > MAX_EDGES:
-        raise EdgeListError(f"line {lineno}: m={m} exceeds the limit of "
-                            f"{MAX_EDGES} edges")
+        raise EdgeListError(f"line {lineno}: m={clip_field(m)} exceeds the "
+                            f"limit of {MAX_EDGES} edges")
 
     # each row is parsed as it is read and not kept; a broken promise of
     # the header is reported before the first faulty line
@@ -93,7 +93,7 @@ def _parse_lines(text: str) -> Graph:
             if not u < v:
                 raise EdgeListError(
                     f"line {lineno}: edge endpoints must satisfy u < v, "
-                    f"got {u} {v}")
+                    f"got {clip_field(u)} {clip_field(v)}")
         except EdgeListError as exc:
             fault = exc
             break
@@ -118,9 +118,8 @@ def _pair(lineno: int, body: str, shape_fault: str,
     """The two integers of a header or edge line, or its fault, worded."""
     fields = body.split()
     if len(fields) != 2:
-        got = " ".join(fields)  # quoted to at most 40 characters
         raise EdgeListError(f"line {lineno}: {shape_fault}, got "
-                            f"{got[:40]!r}{'...' if len(got) > 40 else ''}")
+                            f"{clip_field(' '.join(fields))}")
     try:
         return int(fields[0]), int(fields[1])
     except ValueError:

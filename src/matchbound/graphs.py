@@ -101,30 +101,26 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     ids, naming the offending pair and its position in the error.
 
     One bucket step builds the adjacency: each pair is appended to the lists
-    of both ends, and each list is sorted, which takes linear time on the
-    lexicographically sorted pairs every generator and edge list gives.
-    Pairs that all have u < v are checked from the sorted lists and one set
-    of pairs; any other input, and any defect, is re-scanned in input order,
-    so the error names the first defect.
+    of both ends, and each list is sorted (linear time on sorted pairs).
+    Pairs are taken as they are when each has 0 <= u < v < n and one set of
+    pairs shows no duplicate; any other input, and any defect, is re-scanned
+    in input order, so the error names the first defect.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
     pairs = list(edges)
     adj: list[list[int]] = [[] for _ in range(n)]
-    oriented = True
+    clean = True
     try:
         for u, v in pairs:
-            if not u < v:
-                oriented = False
+            if not 0 <= u < v:
+                clean = False
             adj[u].append(v)
             adj[v].append(u)
     except IndexError:
-        oriented = False  # an id out of range: the re-scan names it
+        clean = False  # an id out of range: the re-scan names it
     for nbrs in adj:
         nbrs.sort()
-    # a negative id indexes a list from the end, but it is also appended to
-    # the list of its partner, where it sorts first
-    clean = oriented and min(filter(None, adj), default=[0])[0] >= 0
     if clean:
         try:
             clean = len(set(pairs)) == len(pairs)
@@ -140,13 +136,21 @@ def _check_in_order(n: int, pairs: list[tuple[int, int]]) -> None:
     seen: list[set[int]] = [set() for _ in range(n)]
     for i, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}", i)
+            raise GraphError(f"edge ({clip_field(u)}, {clip_field(v)}) out "
+                             f"of range for n={n}", i)
         if u == v:
             raise GraphError(f"loop edge ({u}, {v}) not allowed", i)
         if v in seen[u]:
             raise GraphError(f"duplicate edge ({u}, {v})", i)
         seen[u].add(v)
         seen[v].add(u)
+
+
+def clip_field(field: str | int) -> str:
+    """A field as a message echoes it: at most 40 characters, then '...'."""
+    text = str(field)
+    shown = repr(text[:40]) if isinstance(field, str) else text[:40]
+    return shown + "..." if len(text) > 40 else shown
 
 
 @dataclass(frozen=True)

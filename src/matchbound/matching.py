@@ -134,27 +134,21 @@ def maximum_matching(g: Graph) -> Matching:
                     mark_blossom(to, ancestor, v, bases)
                     # merge only after both walks: the second walk must see
                     # the sub-blossoms as they were before this contraction
-                    odd = []
                     for b in bases:
                         uf[b] = ancestor
                         if not in_queue[b]:
                             in_queue[b] = True
-                            odd.append(b)
-                    # the search is deterministic without this sort; it
-                    # stays because the witnesses pinned by the recorded
-                    # `matching` digest were found in this order
-                    odd.sort()
-                    queue.extend(odd)
+                            queue.append(b)
                     base_v = ancestor
                 elif parent[to] == -1:
                     parent[to] = v
                     touched.append(to)
                     if match[to] == -1:
                         return to
-                    if not in_queue[match[to]]:
-                        in_queue[match[to]] = True
-                        touched.append(match[to])
-                        queue.append(match[to])
+                    # trees take in matched pairs whole: to's mate is unvisited
+                    in_queue[match[to]] = True
+                    touched.append(match[to])
+                    queue.append(match[to])
         return -1
 
     for v in range(n):

@@ -59,6 +59,25 @@ def test_errors_carry_line_numbers():
         parse_edge_list("-1 0\n")
 
 
+SEVENS = "7" * 4000  # under int()'s 4300-digit limit
+CUT = "7" * 40 + "..."
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"3 1\n{SEVENS} 0\n",
+     f"line 2: edge endpoints must satisfy u < v, got {CUT} 0"),
+    (f"3 1\n0 {SEVENS}\n", f"line 2: edge (0, {CUT}) out of range for n=3"),
+    (f"{SEVENS} 0\n", f"line 1: n={CUT} exceeds the limit of "
+                      f"{edgelist.MAX_VERTICES} vertices"),
+    (f"3 {SEVENS}\n", f"line 1: m={CUT} exceeds the limit of "
+                      f"{edgelist.MAX_EDGES} edges"),
+], ids=["u<v", "out_of_range", "n_limit", "m_limit"])
+def test_a_long_integer_is_echoed_to_40_digits(text, message):
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
 def test_a_broken_promise_is_reported_before_a_faulty_line():
     # rows are parsed as they are read, but a wrong count of rows still wins
     for text, found in (("3 2\n0 x\n", 1), ("3 1\n1 0\n0 1\n", 2),

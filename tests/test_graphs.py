@@ -218,7 +218,8 @@ def pair_lists(draw):
     if kind == "high":
         bad = (w, n + far)
     elif kind == "negative":
-        bad = (-1 - far, w)  # -n..-1 index a list silently
+        # -n..-1 index a list silently; both ends may be negative
+        bad = (-1 - far, draw(st.sampled_from([w, w - n])))
     elif kind == "loop":
         bad = (w, w)
     elif kind in ("duplicate", "reversed") and pairs:

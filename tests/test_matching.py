@@ -209,10 +209,12 @@ def test_oracle_across_blocks_of_the_real_size():
 
 
 # SHA-256 of the concatenated `matching` stdout over GOLDEN_FAMILY and the
-# 500 seeded samples below, recorded before the pruned blossom search
-# replaced the O(V^3) one: the witness must stay byte-identical.
-GOLDEN_DIGEST = ("3558d638a7ae003a9e44e9b59815e03f"
-                 "b4d2cb61d92e4fd7c8e2262d719440ce")
+# 500 seeded samples below, re-recorded once when a blossom contraction
+# began to enqueue its bases in the order it finds them rather than sorted:
+# 7 witnesses changed, and on all 514 graphs alpha stayed as before and the
+# new witness passed verify_matching. The witness must stay byte-identical.
+GOLDEN_DIGEST = ("b97ece12217055009f04749a4358264009d20bbe5e26b855"
+                 "aac36bbef0351ef6")
 
 GOLDEN_FAMILY = (
     lambda: block_chain(4, 6),
