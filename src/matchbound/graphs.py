@@ -147,8 +147,16 @@ def _check_in_order(n: int, pairs: list[tuple[int, int]]) -> None:
 
 
 def clip_field(field: str | int) -> str:
-    """A field as a message echoes it: at most 40 characters, then '...'."""
-    text = str(field)
+    """A field as a message echoes it: at most 40 characters, then '...'.
+
+    An integer of more than 40 digits is cut by a power of ten before it
+    is printed, so no digits past its first 45 or so are converted."""
+    if isinstance(field, int) and not -10 ** 40 < field < 10 ** 40:
+        # 0.30102999566 < log10(2): the quotient keeps 41 to 47 digits
+        shift = max(abs(field).bit_length() * 30102999566 // 10 ** 11 - 45, 0)
+        text = ("-" if field < 0 else "") + str(abs(field) // 10 ** shift)
+    else:
+        text = str(field)
     shown = repr(text[:40]) if isinstance(field, str) else text[:40]
     return shown + "..." if len(text) > 40 else shown
 
@@ -191,7 +199,7 @@ def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
     seen = [False] * n
     for v in deleted:
         if not 0 <= v < n:
-            raise GraphError(f"vertex {v} out of range for n={n}")
+            raise GraphError(f"vertex {clip_field(v)} out of range for n={n}")
         seen[v] = True
     return sum(s & 1 for s in _flood(g.adjacency, seen).component_sizes)
 

@@ -3,8 +3,8 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
-from matchbound.graphs import (Graph, GraphError, build_graph, components,
-                               degree_profile, is_k_regular,
+from matchbound.graphs import (Graph, GraphError, build_graph, clip_field,
+                               components, degree_profile, is_k_regular,
                                odd_components_after_deletion)
 from matchbound.matching import maximum_matching, verify_matching
 
@@ -14,6 +14,14 @@ def test_build_rejects_out_of_range():
         build_graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         build_graph(2, [(-1, 0)])
+    # 5001 digits, past str()'s 4300-digit limit on Python 3.11 and later:
+    # the message quotes 40 characters of each end without printing it whole
+    for u, shown in ((10 ** 5000, "1" + "0" * 39),
+                     (-7 * 10 ** 5000 - 1, "-7" + "0" * 38)):
+        with pytest.raises(GraphError) as exc:
+            build_graph(3, [(0, u)])
+        assert str(exc.value) == f"edge (0, {shown}...) out of range for n=3"
+        assert exc.value.index == 0
 
 
 def test_build_rejects_loops_and_duplicates():
@@ -21,6 +29,18 @@ def test_build_rejects_loops_and_duplicates():
         build_graph(3, [(1, 1)])
     with pytest.raises(GraphError, match=r"\(1, 0\)"):  # as submitted
         build_graph(3, [(0, 1), (1, 0)])
+
+
+def test_an_integer_is_clipped_as_its_whole_text_would_be():
+    # every integer str() still prints: the first 40 characters, then '...'
+    # only when something was cut
+    for digits in list(range(1, 60)) + [100, 1000, 4299]:
+        for x in (10 ** digits - 1, 10 ** (digits - 1), 7 * 10 ** (digits - 1)
+                  + 3):
+            for field in (x, -x):
+                text = str(field)
+                assert clip_field(field) == (
+                    text[:40] + "..." if len(text) > 40 else text)
 
 
 def test_adjacency_is_sorted_and_symmetric():
@@ -67,6 +87,10 @@ def test_odd_components_after_deletion():
     assert "nbr_masks" not in vars(p5)
     with pytest.raises(GraphError, match="vertex 5 out of range"):
         odd_components_after_deletion(p5, [1, 5, -1])
+    for digits in (4000, 5000):
+        with pytest.raises(GraphError) as exc:
+            odd_components_after_deletion(p5, [10 ** digits])
+        assert str(exc.value) == f"vertex 1{'0' * 39}... out of range for n=5"
 
 
 def test_degree_profile_counts():

@@ -365,6 +365,53 @@ def test_oracle_memory_is_bounded_by_the_block_size():
     assert elapsed < 10.0, f"{elapsed:.1f}s"
 
 
+def plane_cache_graphs(rng, n):
+    """Three connected samples of order n and the edgeless graph."""
+    return [random_connected_bounded(rng.getrandbits(64), n, k)
+            for k in (2, 3, 5)] + [build_graph(n, [])]
+
+
+def test_a_warm_plane_cache_gives_the_certificates_of_a_cold_one(
+        monkeypatch):
+    # each cold certificate is computed right after cache_clear(); the warm
+    # ones follow other graphs of the same order, in both directions, so a
+    # plane one call changed in place would show in the next call's answer
+    rng = random.Random(36011)
+    cold = {}
+    for n in range(1, 21):
+        graphs = plane_cache_graphs(rng, n)
+        certs = []
+        for g in graphs:
+            matching._planes.cache_clear()
+            certs.append(tutte_berge(g))
+        misses = matching._planes.cache_info().misses
+        assert [tutte_berge(g) for g in graphs] == certs
+        assert [tutte_berge(g) for g in reversed(graphs)] == certs[::-1]
+        # the second call at an order builds no plane
+        assert matching._planes.cache_info().misses == misses
+        cold[n] = graphs, certs
+    # blocks of 8 sets read the warm planes of 3 vertices, whatever n is
+    monkeypatch.setattr(matching, "BLOCK_BITS", 3)
+    for n in range(1, 13):
+        graphs, certs = cold[n]
+        assert [tutte_berge(g) for g in graphs] == certs
+
+
+def test_the_plane_cache_keeps_at_most_2_mib():
+    graphs = [random_connected_bounded(n, n, 3) for n in range(1, 23)]
+    matching._planes.cache_clear()
+    tracemalloc.start()
+    try:
+        for g in graphs:
+            tutte_berge(g)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # one entry per block size 1..18: orders 19..22 share the last
+    assert matching._planes.cache_info().currsize == 18
+    assert current <= 2 * 2 ** 20, f"kept {current / 2 ** 20:.2f} MiB"
+
+
 def oracle_golden_graphs():
     """The fixed seeded inputs whose `tutte-berge` stdout is pinned below."""
     rng = random.Random(70607)
