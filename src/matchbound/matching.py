@@ -210,16 +210,16 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
       the sets in which v is outside X and not yet in a flooded component.
       What depends only on the block size (``member``, the counter's
       start) is built once per size by :func:`_planes` and shared
-      read-only; all 19 sizes keep 1.7 MB, 0.9 MB of it for 2^18.
+      read-only; all 19 sizes keep 1.6 MB, 0.8 MB of it for 2^18.
     * Singletons. First, each vertex is cleared from ``rem`` in the sets
       where no neighbor remains, and those sets gain one odd component.
     * Rounds. Each round seeds every set at its lowest remaining vertex,
       taking the seeds from a plane of the sets not yet seeded, so no plane
-      is complemented. It floods over the adjacency until no plane changes,
-      skips a vertex whose component already fills its ``rem`` and leaves
-      zero planes out. It adds the parity of the flooded components to the
-      counter and clears them from ``rem``. It ends when no set has a
-      vertex left.
+      is complemented. It floods from a FIFO worklist that starts with
+      every vertex and takes a vertex in again only when a neighbor's plane
+      grew, skipping a vertex whose component already fills its ``rem``.
+      It adds the parity of the flooded components to the counter and
+      clears them from ``rem``. It ends when no set has a vertex left.
     * Counter. A bit-sliced counter starts at the number of low vertices
       outside X, takes the singletons and each round, so it ends at
       oc(g - X) minus |X| plus a constant of the block; filtering its
@@ -237,7 +237,7 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
             f"{max_n} (raise max_n to override)")
     adj = g.adjacency
     low = min(n, BLOCK_BITS)
-    full, member, base, heads = _planes(low)
+    full, member, base = _planes(low)
     best: tuple[int, tuple[int, ...]] | None = None
     for high in range(1 << (n - low)):
         fixed = tuple(v for v in range(low, n) if high >> (v - low) & 1)
@@ -251,8 +251,7 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
             if r := rem[v]:
                 nbrs = 0
                 for u in adj[v]:
-                    if ru := rem[u]:
-                        nbrs |= ru
+                    nbrs |= rem[u]
                 kept = r & nbrs
                 _count(counter, r ^ kept)
                 rem[v] = kept
@@ -265,35 +264,30 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
                 comp.append(c)
             if unseen == full:
                 break
-            # sweep until no plane changes; a vertex is recomputed only
-            # after a neighbor's plane grew, and not once it fills rem[v]
-            dirty = [True] * n
-            changed = True
-            while changed:
-                changed = False
-                for v in range(n):
-                    if not dirty[v]:
-                        continue
-                    dirty[v] = False
-                    c = comp[v]
-                    r = rem[v]
-                    if c == r:
-                        continue
-                    reach = c
+            # flood until the worklist empties; a vertex is queued again only
+            # after a neighbor's plane grew, and skipped once it fills rem[v]
+            queue = list(range(n))
+            queued = [True] * n
+            for v in queue:
+                queued[v] = False
+                c = comp[v]
+                r = rem[v]
+                if c == r:
+                    continue
+                reach = c
+                for u in adj[v]:
+                    reach |= comp[u]
+                reach &= r
+                if reach != c:
+                    comp[v] = reach
                     for u in adj[v]:
-                        if cu := comp[u]:
-                            reach |= cu
-                    reach &= r
-                    if reach != c:
-                        comp[v] = reach
-                        changed = True
-                        for u in adj[v]:
-                            dirty[u] = True
+                        if not queued[u]:
+                            queued[u] = True
+                            queue.append(u)
             parity = 0
-            for v in range(n):
-                if c := comp[v]:
-                    parity ^= c
-                    rem[v] ^= c
+            for v, c in enumerate(comp):
+                parity ^= c
+                rem[v] ^= c
             _count(counter, parity)
         cand = full
         top = 0
@@ -305,7 +299,7 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
         # no fixed vertex, the one whose index is below 2^u ends there
         walk = []
         for u in range(low):
-            if not fixed and cand & heads[u]:
+            if not fixed and cand & ((1 << (1 << u)) - 1):
                 break
             if kept := cand & member[u]:
                 cand = kept
@@ -317,15 +311,14 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
 
 
 @lru_cache(maxsize=None)
-def _planes(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...],
-                               tuple[int, ...]]:
+def _planes(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The planes of a block of 2^low sets that depend on no graph.
 
-    The full plane; ``member[v]``, the sets that contain v; ``base``, a
-    bit-sliced counter of low - |X ∩ low vertices|, the same in every
-    block; and ``heads[u]``, the sets whose index is below 2^u. They are
-    shared, so callers copy what they change. The key is at most
-    BLOCK_BITS, so the cache holds at most BLOCK_BITS + 1 entries.
+    The full plane; ``member[v]``, the sets that contain v; and ``base``,
+    a bit-sliced counter of low - |X ∩ low vertices|, the same in every
+    block. They are shared, so callers copy what they change. The key is
+    at most BLOCK_BITS, so the cache holds at most BLOCK_BITS + 1 entries,
+    1.6 MB in all.
     """
     width = 1 << low
     full = (1 << width) - 1
@@ -342,8 +335,7 @@ def _planes(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...],
     base: list[int] = []
     for plane in member:
         _count(base, full ^ plane)
-    heads = tuple((1 << (1 << u)) - 1 for u in range(low))
-    return full, tuple(member), tuple(base), heads
+    return full, tuple(member), tuple(base)
 
 
 def _count(counter: list[int], plane: int) -> None:

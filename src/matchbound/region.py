@@ -76,8 +76,6 @@ def extreme_points(k: int) -> list[Point]:
 
 def classify_pair(k: int, p: Point) -> bool:
     """True iff (gamma, beta) is good for k, by piecewise case analysis."""
-    if k < 3:
-        raise ValueError(f"classify_pair needs k >= 3, got {k}")
     gamma, beta = p
     if k % 2:
         ((a_star, b_star),) = extreme_points(k)

@@ -361,6 +361,8 @@ def test_a_faulty_line_is_quoted_only_in_part(tmp_path, capsys):
      "--part2 needs comma-separated vertex ids, got 'x'"),
     (["construct", "hkr", "--k", "3", "--tree", "EDGE", "--part2", "1,,2"],
      "--part2 needs comma-separated vertex ids, got '1,,2'"),
+    (["region", "--k", "2", "--point", "0,0"],
+     "extreme_points needs k >= 3, got 2"),
 ])
 def test_bad_family_and_region_parameters_exit_2(tmp_path, capsys, argv,
                                                  message):
