@@ -31,7 +31,6 @@ reports the slack of each bound against the true matching number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -41,8 +40,7 @@ from matchbound.graphs import Graph, components, degree_profile, is_k_regular
 from matchbound.matching import maximum_matching
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(NamedTuple):
     a: Fraction
     b: Fraction
 
@@ -112,8 +110,7 @@ def _row(name: str, n_coeff: Fraction, m_coeff: Fraction,
                     tuple(zip(regular, alt)))
 
 
-@dataclass(frozen=True)
-class BoundRows:
+class BoundRows(NamedTuple):
     """Every bound at one k as integer rows, in audit order."""
     general: BoundRow
     density: BoundRow | None  # even k only
@@ -182,8 +179,7 @@ def format_decimal(x: Fraction) -> str:
     return f"{sign}{q // 100000}.{q % 100000:05d}"
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     name: str
     reason: str  # why not applicable; empty when applicable
     value: Fraction | None
@@ -202,8 +198,7 @@ class BoundEntry:
         return self.slack is not None and self.slack < 0
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     alpha: int
     entries: tuple[BoundEntry, ...]
 

@@ -14,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import argparse
 
@@ -29,9 +28,6 @@ from matchbound.fuzz import FuzzConfig, run_fuzz
 from matchbound.graphs import Graph
 from matchbound.matching import (DEFAULT_MAX_N, MAX_ORACLE_ORDER,
                                  maximum_matching, tutte_berge)
-from matchbound.region import (classify_pair, classify_pair_geometric,
-                               extreme_points, half_spaces, polygon_svg,
-                               region_polygon)
 
 # Strictly contains the extreme points of every k >= 3 (|gamma| <= 1/11,
 # beta in (0, 3/11]), so `region` works without an explicit --bbox.
@@ -186,7 +182,13 @@ def _construct_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _read_graph(path: str) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    with open(path) as f:
+        return parse_edge_list(f.read())
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def _cmd_matching(args: argparse.Namespace) -> int:
@@ -215,7 +217,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print(f"{e.name:24} value {str(e.value):>8}  slack "
               f"{str(e.slack):>8}{flag}")
     if args.json:
-        Path(args.json).write_text(_report_json(report, args.k))
+        _write_text(args.json, _report_json(report, args.k))
     return 1 if report.violations else 0
 
 
@@ -243,15 +245,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     gg = _build_family(args)
     text = to_dot(gg.graph) if args.dot else emit_edge_list(gg.graph)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
         sidecar = {
             "n": gg.graph.vertex_count,
             "m": gg.graph.edge_count,
             "alpha_predicted": gg.predicted_alpha,
             "link_vertices": list(gg.link_vertices),
         }
-        Path(args.out + ".json").write_text(
-            json.dumps(sidecar, indent=2) + "\n")
+        _write_text(args.out + ".json", json.dumps(sidecar, indent=2) + "\n")
     else:
         sys.stdout.write(text)
     return 0
@@ -303,6 +304,10 @@ def _parse_rationals(text: str, count: int, what: str
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
+    # only this command needs region, so the others start without it
+    from matchbound.region import (classify_pair, classify_pair_geometric,
+                                   extreme_points, half_spaces, polygon_svg,
+                                   region_polygon)
     k = args.k
     draw = args.polygon or args.svg
     if args.bbox is not None and not draw:
@@ -338,9 +343,9 @@ def _cmd_region(args: argparse.Namespace) -> int:
             rows.extend(
                 f"{g},{b},{format_decimal(g)},{format_decimal(b)}"
                 for g, b in points)
-            Path(args.polygon).write_text("\n".join(rows) + "\n")
+            _write_text(args.polygon, "\n".join(rows) + "\n")
         if args.svg:
-            Path(args.svg).write_text(polygon_svg(points, bbox))
+            _write_text(args.svg, polygon_svg(points, bbox))
     return 0
 
 

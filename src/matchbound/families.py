@@ -28,28 +28,29 @@ The families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
+from typing import NamedTuple
 
 from matchbound.graphs import (MAX_EDGES, MAX_VERTICES, Graph, build_graph,
                                components, degree_profile)
 
 
-@dataclass(frozen=True)
-class GeneratedGraph:
-    graph: Graph
-    predicted_n: int
-    predicted_m: int
-    predicted_alpha: int
-    link_vertices: tuple[int, ...]
+class GeneratedGraph(namedtuple("GeneratedGraph", "graph predicted_n "
+                                "predicted_m predicted_alpha link_vertices")):
+    """A member with its closed-form n, m and alpha', and its link vertices;
+    construction checks the built n and m against the closed forms."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GeneratedGraph:
+        self = super().__new__(cls, *args, **kwargs)
         # a raise, not an assert, so the check also runs under python -O
         built = (self.graph.vertex_count, self.graph.edge_count)
         if built != (self.predicted_n, self.predicted_m):
             raise AssertionError(
                 f"built (n, m) = {built}, but the closed forms give "
                 f"{(self.predicted_n, self.predicted_m)}")
+        return self
 
 
 def _check_size(n: int, m: int) -> None:
@@ -143,8 +144,7 @@ def block_chain(k: int, r: int, blocks: str = "gadgets") -> GeneratedGraph:
                           tuple(b + t for b in bases for t in (0, 1)))
 
 
-@dataclass(frozen=True)
-class BipartiteTree:
+class BipartiteTree(NamedTuple):
     """A tree with a designated bipartition, parts indexed 1 and 2."""
     graph: Graph
     part2: tuple[int, ...]

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from matchbound.bounds import evaluate_bounds
 from matchbound.edgelist import emit_edge_list
-from matchbound.graphs import Graph, build_graph, components
+from matchbound.graphs import Graph, build_graph, clip_field, components
 from matchbound.matching import maximum_matching
 
 _MASK64 = (1 << 64) - 1
@@ -50,15 +50,14 @@ def _mix(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    k: int
-    trials: int
-    max_n: int
-    seed: int
-    forbid_regular_components: bool = True
+class FuzzConfig(namedtuple("FuzzConfig", "k trials max_n seed "
+                            "forbid_regular_components", defaults=(True,))):
+    """Checked on construction. The seed must fit in 64 bits: :func:`_mix`
+    reads no more, so seeds 2**64 apart would run the same trials."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> FuzzConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 3:
             raise ValueError(f"k must be >= 3, got {self.k}")
         if self.trials < 1:
@@ -66,21 +65,24 @@ class FuzzConfig:
         if not 2 <= self.max_n <= MAX_FUZZ_ORDER:
             raise ValueError(f"max_n must be in 2..{MAX_FUZZ_ORDER}, the "
                              f"fuzz order limit, got {self.max_n}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in 0..2**64 - 1, "
+                             f"got {clip_field(self.seed)}")
+        return self
 
 
-@dataclass(frozen=True)
-class FuzzViolation:
+class FuzzViolation(NamedTuple):
     seed: int
     trial: int
     graph: Graph
     bound: str
 
 
-@dataclass
 class FuzzOutcome:
-    trials_run: int
-    violations: list[FuzzViolation] = field(default_factory=list)
-    tight_hits: dict[str, int] = field(default_factory=dict)
+    def __init__(self, trials_run: int) -> None:
+        self.trials_run = trials_run
+        self.violations: list[FuzzViolation] = []
+        self.tight_hits: dict[str, int] = {}
 
     def to_json(self) -> str:
         payload = {

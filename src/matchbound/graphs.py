@@ -8,7 +8,7 @@ degrees and regularity are read from, and floods G - X in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -37,11 +37,9 @@ class GraphError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertex_count: int
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_count: int
+class Graph(namedtuple("Graph", "vertex_count adjacency edge_count")):
+    """n, the sorted tuple of each vertex's neighbours, and m. Declared
+    without ``__slots__``: the cached properties live in ``__dict__``."""
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -58,8 +56,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.vertex_count)
-                for v in self.adjacency[u] if u < v]
+        return [(u, v) for u, nbrs in enumerate(self.adjacency)
+                for v in nbrs if u < v]
 
     @cached_property
     def structure(self) -> Structure:
@@ -161,8 +159,7 @@ def clip_field(field: str | int) -> str:
     return shown + "..." if len(text) > 40 else shown
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(NamedTuple):
     """Everything one BFS over a graph reveals (see :attr:`Graph.structure`).
 
     Components are numbered in order of their lowest vertex; BFS starts at

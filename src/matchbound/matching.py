@@ -19,14 +19,13 @@ Both are deterministic for a fixed input encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from matchbound.graphs import Graph
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     edges: tuple[tuple[int, int], ...]
 
     @property
@@ -188,8 +187,7 @@ class OracleSizeError(ValueError):
     """Raised when a graph is too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class TutteBergeCertificate:
+class TutteBergeCertificate(NamedTuple):
     value: int
     witness: tuple[int, ...]
 

@@ -19,16 +19,15 @@ other. Boundary points are classified good (the half-spaces are closed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from matchbound.bounds import density_coefficients, general_coefficients
 
 Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(NamedTuple):
     """The closed constraint beta <= slope*gamma + intercept."""
     slope: Fraction
     intercept: Fraction

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,6 +296,12 @@ def test_fuzz_command(capsys):
     payload = json.loads(out)
     assert payload["trials_run"] == 40
     assert payload["violations"] == []
+    # the trials read 64 bits of the seed, so a seed outside them is refused
+    for seed in ("-1", str(2 ** 64)):
+        code, out, err = invoke(capsys, "fuzz", "--k", "3", "--trials", "40",
+                                "--max-n", "9", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err == f"error: seed must be in 0..2**64 - 1, got {seed}\n"
 
 
 def test_tables_command(capsys):
@@ -507,6 +515,20 @@ def test_version_flag(capsys):
     code, out, _ = invoke(capsys, "--version")
     assert code == 0
     assert out.startswith("matchbound ")
+
+
+def test_a_cold_import_loads_no_code_generators_or_pathlib():
+    # -S, because `site` alone may import pathlib (a .pth file can)
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import matchbound.cli\n"
+              "print(*sorted(m for m in ('dataclasses', 'inspect', 'pathlib',"
+              " 'matchbound.region') if m in sys.modules))\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-S", "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == []
 
 
 def test_one_parser_serves_every_command_in_a_process(

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -159,6 +158,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match=f"2..{MAX_FUZZ_ORDER}, the fuzz "
                                          "order limit"):
         FuzzConfig(k=3, trials=1, max_n=MAX_FUZZ_ORDER + 1, seed=0)
+    # the trials read the seed's low 64 bits only: a seed beyond them would
+    # repeat the trials of another
+    FuzzConfig(k=3, trials=1, max_n=8, seed=2 ** 64 - 1)
+    for seed in (-1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError,
+                           match=rf"0\.\.2\*\*64 - 1, got {seed}$"):
+            FuzzConfig(k=3, trials=1, max_n=8, seed=seed)
 
 
 def test_run_fuzz_small_sweep():
@@ -263,7 +269,7 @@ def test_run_fuzz_reports_a_bound_that_exceeds_alpha(monkeypatch, capsys):
     def inflated(k):
         rows = real_rows(k)
         general = rows.general._replace(const=-10 ** 6 * rows.general.scale)
-        return dataclasses.replace(rows, general=general)
+        return rows._replace(general=general)
 
     monkeypatch.setattr(bounds, "bound_rows", inflated)
     config = FuzzConfig(k=4, trials=3, max_n=12, seed=31)

@@ -1,5 +1,3 @@
-from dataclasses import FrozenInstanceError
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -194,7 +192,7 @@ def test_structure_is_shared_and_read_only():
     g = build_graph(4, [(0, 1), (1, 2)])
     assert components(g) is degree_profile(g) is g.structure
     assert components(g) is components(g)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         degree_profile(g).max_degree = 5
     assert degree_profile(g).max_degree == 2
 
