@@ -25,7 +25,7 @@ from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
                                  canonical_tree, regular_gadget_ring,
                                  tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, run_fuzz
-from matchbound.graphs import Graph
+from matchbound.graphs import Graph, clip_field
 from matchbound.matching import (DEFAULT_MAX_N, MAX_ORACLE_ORDER,
                                  maximum_matching, tutte_berge)
 
@@ -273,7 +273,7 @@ def _build_family(args: argparse.Namespace) -> GeneratedGraph:
                 part2 = [int(s) for s in args.part2.split(",")]
             except ValueError:
                 raise ValueError("--part2 needs comma-separated vertex ids, "
-                                 f"got {args.part2!r}") from None
+                                 f"got {clip_field(args.part2)}") from None
         else:
             part2 = [v for v, odd in enumerate(backbone.structure.parity)
                      if odd]
@@ -291,7 +291,8 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational number: {text!r}") from None
+        raise ValueError(
+            f"not a rational number: {clip_field(text)}") from None
 
 
 def _parse_rationals(text: str, count: int, what: str
@@ -299,7 +300,8 @@ def _parse_rationals(text: str, count: int, what: str
     parts = text.split(",")
     if len(parts) != count:
         raise ValueError(
-            f"{what} needs {count} comma-separated rationals, got {text!r}")
+            f"{what} needs {count} comma-separated rationals, "
+            f"got {clip_field(text)}")
     return tuple(_parse_fraction(p) for p in parts)
 
 
@@ -338,6 +340,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
         bbox = (DEFAULT_BBOX if args.bbox is None
                 else _parse_rationals(args.bbox, 4, "--bbox"))
         points = region_polygon(k, bbox)
+        # drawn first, so a box it refuses leaves no file behind
+        svg = polygon_svg(points, bbox) if args.svg else None
         if args.polygon:
             rows = ["gamma_exact,beta_exact,gamma_dec,beta_dec"]
             rows.extend(
@@ -345,7 +349,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
                 for g, b in points)
             _write_text(args.polygon, "\n".join(rows) + "\n")
         if args.svg:
-            _write_text(args.svg, polygon_svg(points, bbox))
+            _write_text(args.svg, svg)
     return 0
 
 

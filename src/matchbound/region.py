@@ -19,6 +19,7 @@ other. Boundary points are classified good (the half-spaces are closed).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -148,6 +149,12 @@ def polygon_svg(points: list[Point],
     span_g = gmax - gmin
     span_b = bmax - bmin
     height = int(width * span_b / span_g)
+    # sy() maps beta onto 0..height as floats
+    if not 1 <= height <= sys.float_info.max:
+        raise ValueError(
+            f"bbox cannot be drawn {width} pixels wide: its beta span must be "
+            f"at least 1/{width} of its gamma span, and its height must fit "
+            "a float")
 
     def sx(gamma: Fraction) -> float:
         return float((gamma - gmin) / span_g * width)

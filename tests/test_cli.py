@@ -69,6 +69,17 @@ def test_tutte_berge_refuses_orders_above_the_oracle_limit(
                     in err), (n, max_n)
 
 
+def test_tutte_berge_at_its_default_max_n_agrees_with_matching(
+        tmp_path, capsys):
+    g = fuzz.random_connected_bounded(22013, 22, 4)
+    assert g.vertex_count == 22 and g.structure.component_count == 1
+    path = write_graph(tmp_path, "f22.el", edgelist.emit_edge_list(g))
+    code, out, err = invoke(capsys, "tutte-berge", path)
+    assert (code, err) == (0, "")
+    alpha = json.loads(invoke(capsys, "matching", path)[1])["alpha"]
+    assert json.loads(out)["alpha"] == alpha
+
+
 def test_audit_command(tmp_path, capsys):
     path = write_graph(tmp_path, "c9.el", "9 9\n" + "".join(
         f"{min(i, (i + 1) % 9)} {max(i, (i + 1) % 9)}\n" for i in range(9)))
@@ -121,6 +132,38 @@ def test_construct_pipe_into_matching(tmp_path, capsys):
     code, out, _ = invoke(capsys, "matching", str(out_path))
     assert code == 0
     assert json.loads(out)["alpha"] == 5
+
+
+def test_members_of_100k_vertices_match_their_sidecars(tmp_path, capsys):
+    members = {"gkr": ["--k", "4", "--r", "6250"],
+               "fkr": ["--k", "4", "--r", "9091"],
+               "hkr": ["--k", "3", "--r", "11111", "--mode", "regular"]}
+    alpha, solved = {}, {}
+    for family, flags in members.items():
+        path = str(tmp_path / f"{family}.el")
+        assert invoke(capsys, "construct", family, *flags,
+                      "--out", path) == (0, "", "")
+        alpha[family] = json.loads(Path(path + ".json").read_text()
+                                   )["alpha_predicted"]
+        solved[family] = invoke(capsys, "matching", path)
+        code, out, err = solved[family]
+        assert (code, err) == (0, "")
+        assert json.loads(out)["alpha"] == alpha[family], family
+    gkr = tmp_path / "gkr.el"
+    audit = invoke(capsys, "audit", str(gkr), "--k", "4")
+    assert audit[0] == 0 and audit[1].startswith(f"alpha = {alpha['gkr']}\n")
+    # a trailing comment sends every line through the line-by-line read
+    commented = write_graph(tmp_path, "gkr-commented.el", "".join(
+        f"{line} # c\n" for line in gkr.read_text().splitlines()))
+    assert invoke(capsys, "matching", commented) == solved["gkr"]
+    assert invoke(capsys, "audit", commented, "--k", "4") == audit
+    # a connected cubic member: the reference and subcubic bounds are tight
+    code, out, _ = invoke(capsys, "audit", str(tmp_path / "hkr.el"),
+                          "--k", "3")
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+    for name in ("connected_odd", "regular_reference", "subcubic_profile"):
+        assert rows[name] == ["value", str(alpha["hkr"]), "slack", "0",
+                              "tight"], name
 
 
 def test_construct_hkr_canonical(capsys):
@@ -266,6 +309,12 @@ def test_region_explicit_bbox(tmp_path, capsys):
                             str(short), "--bbox", "-1/4,1/4,-1/2")
     assert code == 2 and out == "" and not short.exists()
     assert "--bbox needs 4 comma-separated rationals" in err
+    # a long argument is quoted only in part
+    code, out, err = invoke(capsys, "region", "--k", "4", "--polygon",
+                            str(short), "--bbox", "1," * 2500)
+    assert (code, out) == (2, "") and not short.exists()
+    assert err == ("error: --bbox needs 4 comma-separated rationals, "
+                   f"got {'1,' * 20!r}...\n")
     # a 27-digit corner is written in full, exactly
     wide = tmp_path / "wide.csv"
     code, _, err = invoke(capsys, "region", "--k", "4", "--polygon", str(wide),
@@ -274,6 +323,25 @@ def test_region_explicit_bbox(tmp_path, capsys):
     assert wide.read_text().splitlines()[1] == (
         "-100000000000000000000000000,-1,"
         "-100000000000000000000000000.00000,-1.00000")
+
+
+def test_region_svg_refuses_a_box_it_cannot_draw(tmp_path, capsys):
+    svg, csv = tmp_path / "o.svg", tmp_path / "o.csv"
+    # one box is drawn 10**400 pixels high, the other 0 pixels high
+    for bbox in ("--bbox=-1,1,-1e400,1e400", "--bbox=-1e400,1e400,-1,1"):
+        code, out, err = invoke(capsys, "region", "--k", "4", "--svg",
+                                str(svg), "--polygon", str(csv), bbox)
+        assert (code, out) == (2, ""), bbox
+        assert err.startswith("error: bbox cannot be drawn 480 pixels wide")
+        assert not svg.exists() and not csv.exists(), bbox
+        polygon = str(tmp_path / "polygon.csv")
+        assert invoke(capsys, "region", "--k", "4", "--polygon", polygon,
+                      bbox) == (0, "", ""), bbox
+    # the flattest box it draws is one pixel high
+    assert invoke(capsys, "region", "--k", "4", "--svg", str(svg),
+                  "--bbox=-480,480,-1,1")[0] == 0
+    assert 'height="1"' in svg.read_text()
+
 
 def test_region_rejects_bad_points(capsys):
     assert invoke(capsys, "region", "--k", "4", "--point", "1/0,2")[0] == 2
@@ -371,6 +439,12 @@ def test_a_faulty_line_is_quoted_only_in_part(tmp_path, capsys):
      "--part2 needs comma-separated vertex ids, got '1,,2'"),
     (["region", "--k", "2", "--point", "0,0"],
      "extreme_points needs k >= 3, got 2"),
+    (["construct", "hkr", "--k", "3", "--tree", "EDGE", "--part2", "x" * 5000],
+     f"--part2 needs comma-separated vertex ids, got {'x' * 40!r}..."),
+    (["region", "--k", "4", "--point", "1/" * 2500],
+     f"--point needs 2 comma-separated rationals, got {'1/' * 20!r}..."),
+    (["region", "--k", "4", "--point", "0," + "x" * 5000],
+     f"not a rational number: {'x' * 40!r}..."),
 ])
 def test_bad_family_and_region_parameters_exit_2(tmp_path, capsys, argv,
                                                  message):

@@ -377,7 +377,7 @@ def test_oracle_merges_blocks_by_value_then_witness(monkeypatch):
 
 def test_oracle_memory_is_bounded_by_the_block_size():
     g = random_connected_bounded(22013, 22, 4)
-    assert g.structure.component_count == 1
+    assert g.vertex_count == 22 and g.structure.component_count == 1
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -387,6 +387,9 @@ def test_oracle_memory_is_bounded_by_the_block_size():
     finally:
         tracemalloc.stop()
     assert maximum_matching(g).size == cert.value
+    # the witness X is a Tutte-Berge barrier: 22 + |X| - oc(G - X) = 2 alpha
+    odd = odd_components_after_deletion(g, cert.witness)
+    assert 22 + len(cert.witness) - odd == 2 * cert.value, (cert, odd)
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
     assert elapsed < 10.0, f"{elapsed:.1f}s"
 

@@ -1,10 +1,10 @@
-"""Every inline Python block and every shell step of the CI workflow parses.
+"""Every shell step of the CI workflow parses, and none holds Python.
 
-The workflow runs Python in two forms: ``python - ... <<'EOF'`` heredocs and
-``python -c "..."`` strings. Both are read here with regular expressions
-(PyYAML is not a test dependency), dedented and compiled. The shell of each
-``run:`` step is read by its indentation and checked with ``bash -n``. So a
-syntax error shows up in the tier-1 suite and not first on a CI runner.
+The checks live in the tier-1 tests, so the workflow only runs commands: it
+holds no ``<<'EOF'`` heredoc and no ``python -c`` string. The shell of each
+``run:`` step is read by its indentation (PyYAML is not a test dependency)
+and checked with ``bash -n``. So a syntax error shows up in the tier-1 suite
+and not first on a CI runner.
 """
 
 from __future__ import annotations
@@ -19,23 +19,7 @@ import pytest
 
 WORKFLOW = (Path(__file__).resolve().parent.parent / ".github" / "workflows"
             / "tests.yml")
-HEREDOC = re.compile(r"<<'EOF'\n(.*?)\n[ \t]*EOF\n", re.DOTALL)
-INLINE = re.compile(r'python3? -c "([^"]*)"')
 RUN = re.compile(r"( *)run: (.*)")
-
-
-def test_workflow_python_blocks_compile():
-    text = WORKFLOW.read_text()
-    heredocs = HEREDOC.findall(text)
-    inline = INLINE.findall(text)
-    assert len(heredocs) >= 3 and len(inline) >= 3, (heredocs, inline)
-    for i, body in enumerate(heredocs):
-        compile(textwrap.dedent(body), f"{WORKFLOW.name}:heredoc {i}", "exec")
-    for i, body in enumerate(inline):
-        # the shell would expand these inside double quotes; none is used,
-        # so the string compiled here is the one Python receives
-        assert not set("$`\\") & set(body), body
-        compile(body, f"{WORKFLOW.name}:python -c {i}", "exec")
 
 
 def run_blocks(text):
@@ -61,8 +45,9 @@ def run_blocks(text):
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
 def test_workflow_shell_blocks_parse():
     text = WORKFLOW.read_text()
+    assert "<<'EOF'" not in text and not re.search(r"python3? -c", text)
     blocks = run_blocks(text)
-    assert len(blocks) == text.count("run:") >= 9, blocks
+    assert len(blocks) == text.count("run:") == 6, blocks
     for i, body in enumerate(blocks):
         done = subprocess.run(["bash", "-n"], input=body, text=True,
                               capture_output=True)
