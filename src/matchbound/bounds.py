@@ -22,11 +22,12 @@ graphs, in n alone, is the last connected row at c = 1 and m = kn/2 (for
 even k capped by (n-1)/2), and the subcubic profile bound is the general
 row at k = 3 over the non-isolated vertices.
 
-A bound is checked by one integer comparison, ``D*alpha' >= A*n + B*m -
-C*c - const``: :func:`evaluate_bounds` gives each bound's numerator and
-scale D, the fuzzer compares them with alpha' directly, and a ``Fraction``
-is built only for an entry that is printed, in :func:`audit_graph`, which
-reports the slack of each bound against the true matching number.
+A bound is checked by one integer comparison: :func:`evaluate_bounds`
+gives each bound as a :class:`BoundEntry` holding its numerator and scale
+D, and :meth:`BoundEntry.margin` is ``D*alpha' - numerator``, zero when
+the bound is tight and negative when it exceeds alpha'. Audit and fuzz
+both read that margin from :func:`audit_graph`, and a ``Fraction`` is
+built only for an entry that is printed.
 """
 
 from __future__ import annotations
@@ -180,22 +181,26 @@ def format_decimal(x: Fraction) -> str:
 
 
 class BoundEntry(NamedTuple):
+    """One bound on one graph: numerator/scale, or a None numerator and
+    the reason its hypotheses fail."""
     name: str
     reason: str  # why not applicable; empty when applicable
-    value: Fraction | None
-    slack: Fraction | None
+    numerator: int | None
+    scale: int
 
     @property
-    def applicable(self) -> bool:
-        return self.value is not None
+    def value(self) -> Fraction | None:
+        if self.numerator is None:
+            return None
+        return Fraction(self.numerator, self.scale)
 
-    @property
-    def tight(self) -> bool:
-        return self.slack == 0
-
-    @property
-    def violated(self) -> bool:
-        return self.slack is not None and self.slack < 0
+    def margin(self, alpha: int) -> int | None:
+        """``scale * alpha - numerator``: 0 when alpha meets the bound
+        exactly, negative when the bound exceeds alpha, None when the
+        bound does not apply."""
+        if self.numerator is None:
+            return None
+        return self.scale * alpha - self.numerator
 
 
 class BoundReport(NamedTuple):
@@ -204,7 +209,8 @@ class BoundReport(NamedTuple):
 
     @property
     def violations(self) -> tuple[BoundEntry, ...]:
-        return tuple(e for e in self.entries if e.violated)
+        return tuple(e for e in self.entries
+                     if (e.margin(self.alpha) or 0) < 0)
 
     def entry(self, name: str) -> BoundEntry:
         for e in self.entries:
@@ -213,18 +219,12 @@ class BoundReport(NamedTuple):
         raise KeyError(name)
 
 
-# (name, reason, numerator, scale): see evaluate_bounds
-Evaluation = tuple[str, str, int | None, int]
+def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
+    """Every bound at k for g, in audit order.
 
-
-def evaluate_bounds(g: Graph, k: int) -> list[Evaluation]:
-    """Every bound at k for g as (name, reason, numerator, scale), in order.
-
-    The bound is numerator/scale, so alpha'(g) meets it exactly when
-    ``scale * alpha' >= numerator``. Applicability (connectivity,
-    per-component regularity, parity, degree caps) is checked here so
-    callers cannot apply a bound outside its hypotheses: an inapplicable
-    entry has numerator None and a reason.
+    Applicability (connectivity, per-component regularity, parity, degree
+    caps) is checked here so callers cannot apply a bound outside its
+    hypotheses: an inapplicable entry has numerator None and a reason.
     """
     if k < 3:
         raise ValueError(f"audit needs k >= 3, got {k}")
@@ -242,9 +242,9 @@ def evaluate_bounds(g: Graph, k: int) -> list[Evaluation]:
     disconnected = "" if c == 1 else "graph is not connected"
     empty = "" if n >= 1 else "empty graph"
 
-    def entry(row: BoundRow, reason: str) -> Evaluation:
+    def entry(row: BoundRow, reason: str) -> BoundEntry:
         numerator = None if reason else row.numerator(n, m, c, regular)
-        return row.name, reason, numerator, row.scale
+        return BoundEntry(row.name, reason, numerator, row.scale)
 
     rows = bound_rows(k)
     out = [entry(rows.general, has_regular_part or empty)]
@@ -256,9 +256,8 @@ def evaluate_bounds(g: Graph, k: int) -> list[Evaluation]:
     if disconnected or not regular:
         out.append(entry(ref[0], "graph is not connected and k-regular"))
     else:
-        out.append((ref[0].name, "",
-                    min(row.numerator(n, m, c, False) for row in ref),
-                    ref[0].scale))
+        least = min(row.numerator(n, m, c, False) for row in ref)
+        out.append(BoundEntry(ref[0].name, "", least, ref[0].scale))
 
     cubic_reason = empty or ("maximum degree exceeds 3"
                              if profile.max_degree > 3 else "")
@@ -268,23 +267,16 @@ def evaluate_bounds(g: Graph, k: int) -> list[Evaluation]:
         # with n_d vertices of degree d, 2*n1 + 3*n2 + 4*n3 = (n - n0) + 2*m
         isolated = profile.component_sizes.count(1)
         cubic = cubic_row.numerator(n - isolated, m, c, False)
-    out.append(("subcubic_profile", cubic_reason, cubic, cubic_row.scale))
+    out.append(BoundEntry("subcubic_profile", cubic_reason, cubic,
+                          cubic_row.scale))
     return out
 
 
 def audit_graph(g: Graph, k: int) -> BoundReport:
-    """Evaluate every bound whose hypotheses hold for g against alpha'(g).
+    """Every bound of :func:`evaluate_bounds` against alpha'(g).
 
-    The entries are those of :func:`evaluate_bounds`; only here does an
-    applicable bound become a Fraction, with its slack.
+    The bounds are evaluated first, so a bad k or degree fails before the
+    matching search.
     """
-    evaluated = evaluate_bounds(g, k)
-    alpha = maximum_matching(g).size
-    entries = []
-    for name, reason, numerator, scale in evaluated:
-        if numerator is None:
-            entries.append(BoundEntry(name, reason, None, None))
-        else:
-            value = Fraction(numerator, scale)
-            entries.append(BoundEntry(name, "", value, alpha - value))
-    return BoundReport(alpha, tuple(entries))
+    entries = tuple(evaluate_bounds(g, k))
+    return BoundReport(maximum_matching(g).size, entries)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import argparse
 
 from matchbound import __version__
-from matchbound.bounds import (BoundReport, audit_graph, bound_rows,
+from matchbound.bounds import (BoundEntry, audit_graph, bound_rows,
                                format_decimal)
 from matchbound.edgelist import emit_edge_list, parse_edge_list, to_dot
 from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tutte-berge",
                        help="exhaustive deficiency-formula certificate")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+    p.add_argument("--max-n", type=_int_flag, default=DEFAULT_MAX_N,
                    help="refuse graphs larger than this (default %(default)s) "
                         f"or than {MAX_ORACLE_ORDER}, the oracle order limit")
     p.set_defaults(handler=_cmd_tutte_berge)
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit",
                        help="evaluate every applicable lower bound")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True,
+    p.add_argument("--k", type=_int_flag, required=True,
                    help="degree cap the bounds are taken at")
     p.add_argument("--json", metavar="OUT",
                    help="also write the report as JSON to OUT")
@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fam = p.add_subparsers(dest="family", required=True)
 
     f = fam.add_parser("gkr", help="chain of blocks joined by connectors")
-    f.add_argument("--k", type=int, required=True)
-    f.add_argument("--r", type=int, required=True,
+    f.add_argument("--k", type=_int_flag, required=True)
+    f.add_argument("--r", type=_int_flag, required=True,
                    help="number of connector vertices")
     f.add_argument("--blocks", default="gadgets",
                    help="'gadgets', 'singles', or a per-block string of "
@@ -119,10 +119,10 @@ def _build_parser() -> argparse.ArgumentParser:
     f.set_defaults(handler=_cmd_construct)
 
     f = fam.add_parser("hkr", help="tree with gadget copies on one side")
-    f.add_argument("--k", type=int, required=True)
+    f.add_argument("--k", type=_int_flag, required=True)
     f.add_argument("--mode", choices=("tree", "regular"),
                    help="canonical backbone shape (with --r; default tree)")
-    f.add_argument("--r", type=int,
+    f.add_argument("--r", type=_int_flag,
                    help="size parameter of the canonical backbone")
     f.add_argument("--tree", metavar="FILE",
                    help="explicit backbone tree as an edge-list file")
@@ -134,15 +134,15 @@ def _build_parser() -> argparse.ArgumentParser:
     f.set_defaults(handler=_cmd_construct)
 
     f = fam.add_parser("fkr", help="k-regular ring of shared gadgets")
-    f.add_argument("--k", type=int, required=True)
-    f.add_argument("--r", type=int, required=True,
+    f.add_argument("--k", type=_int_flag, required=True)
+    f.add_argument("--r", type=_int_flag, required=True,
                    help="number of hub vertices")
     _construct_output_flags(f)
     f.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("region",
                        help="the convex set of good (gamma, beta) pairs")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_flag, required=True)
     p.add_argument("--point", metavar="G,B",
                    help="classify one rational pair, e.g. -1/11,3/11")
     p.add_argument("--polygon", metavar="OUT.csv",
@@ -156,10 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz",
                        help="random-graph audit sweep; exits 1 on violation")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--k", type=_int_flag, required=True)
+    p.add_argument("--trials", type=_int_flag, required=True)
+    p.add_argument("--max-n", type=_int_flag, required=True)
+    p.add_argument("--seed", type=_int_flag, required=True)
     p.add_argument("--allow-regular", action="store_true",
                    help="keep samples that happen to be k-regular")
     p.set_defaults(handler=_cmd_fuzz)
@@ -171,6 +171,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_tables)
 
     return parser
+
+
+def _int_flag(text: str) -> int:
+    """``int`` for an integer flag, quoting a refused value only in part."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {clip_field(text)}") from None
 
 
 def _construct_output_flags(p: argparse.ArgumentParser) -> None:
@@ -208,37 +217,30 @@ def _cmd_tutte_berge(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     report = audit_graph(_read_graph(args.file), args.k)
+    rows = [_audit_row(e, report.alpha) for e in report.entries]
     print(f"alpha = {report.alpha}")
-    for e in report.entries:
-        if not e.applicable:
-            print(f"{e.name:24} skipped: {e.reason}")
+    for r in rows:
+        if not r["applicable"]:
+            print(f"{r['name']:24} skipped: {r['reason']}")
             continue
-        flag = "  VIOLATED" if e.violated else ("  tight" if e.tight else "")
-        print(f"{e.name:24} value {str(e.value):>8}  slack "
-              f"{str(e.slack):>8}{flag}")
+        flag = ("  VIOLATED" if r["violated"]
+                else "  tight" if r["tight"] else "")
+        print(f"{r['name']:24} value {r['value']:>8}  slack "
+              f"{r['slack']:>8}{flag}")
     if args.json:
-        _write_text(args.json, _report_json(report, args.k))
+        payload = {"alpha": report.alpha, "k": args.k, "entries": rows}
+        _write_text(args.json, json.dumps(payload, indent=2) + "\n")
     return 1 if report.violations else 0
 
 
-def _report_json(report: BoundReport, k: int) -> str:
-    payload = {
-        "alpha": report.alpha,
-        "k": k,
-        "entries": [
-            {
-                "name": e.name,
-                "applicable": e.applicable,
-                "reason": e.reason,
-                "value": None if e.value is None else str(e.value),
-                "slack": None if e.slack is None else str(e.slack),
-                "tight": e.tight,
-                "violated": e.violated,
-            }
-            for e in report.entries
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def _audit_row(e: BoundEntry, alpha: int) -> dict:
+    """One entry as audit prints it; the slack is margin/scale."""
+    margin = e.margin(alpha)
+    applicable = margin is not None
+    return {"name": e.name, "applicable": applicable, "reason": e.reason,
+            "value": str(e.value) if applicable else None,
+            "slack": str(Fraction(margin, e.scale)) if applicable else None,
+            "tight": margin == 0, "violated": applicable and margin < 0}
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -325,6 +327,9 @@ def _cmd_region(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, separators=(",", ":")))
         return 0
+    # the verdict, polygon and drawing are all computed before anything is
+    # printed or written, so bad input leaves no output and no file
+    verdict = None
     if args.point is not None:
         p = _parse_rationals(args.point, 2, "--point")
         good = classify_pair(k, p)
@@ -332,15 +337,14 @@ def _cmd_region(args: argparse.Namespace) -> int:
             raise AssertionError(
                 f"classifier disagreement at {p} for k={k}")
         boundary = good and any(h.on_boundary(p) for h in half_spaces(k))
-        print(json.dumps(
+        verdict = json.dumps(
             {"classification": "good" if good else "bad",
              "boundary": boundary},
-            separators=(",", ":")))
+            separators=(",", ":"))
     if draw:
         bbox = (DEFAULT_BBOX if args.bbox is None
                 else _parse_rationals(args.bbox, 4, "--bbox"))
         points = region_polygon(k, bbox)
-        # drawn first, so a box it refuses leaves no file behind
         svg = polygon_svg(points, bbox) if args.svg else None
         if args.polygon:
             rows = ["gamma_exact,beta_exact,gamma_dec,beta_dec"]
@@ -350,6 +354,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
             _write_text(args.polygon, "\n".join(rows) + "\n")
         if args.svg:
             _write_text(args.svg, svg)
+    if verdict is not None:
+        print(verdict)
     return 0
 
 

@@ -15,9 +15,10 @@ exceeds k) has its first non-bridge edge (in sorted order) removed; a
 connected k-regular graph with k >= 2 contains a cycle, so one always
 exists.
 
-A trial checks each bound as one integer comparison, ``D*alpha' >=
-numerator``, on the scaled rows of :func:`matchbound.bounds.evaluate_bounds`;
-it builds no ``Fraction``, which only printed audit entries need.
+A trial is one :func:`matchbound.bounds.audit_graph` call, the same audit
+that ``matchbound audit`` prints: a bound with a negative margin is a
+violation and one with a zero margin a tight hit. It builds no
+``Fraction``, which only printed audit entries need.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from collections import namedtuple
 from itertools import repeat
 from typing import Callable, NamedTuple
 
-from matchbound.bounds import evaluate_bounds
+from matchbound.bounds import audit_graph
 from matchbound.edgelist import emit_edge_list
 from matchbound.graphs import Graph, build_graph, clip_field, components
-from matchbound.matching import maximum_matching
 
 _MASK64 = (1 << 64) - 1
 # Largest order a fuzz sample may have. At n = 10^5 (seed 777) one sample
@@ -200,13 +200,13 @@ def run_fuzz(config: FuzzConfig) -> FuzzOutcome:
         if components(g).component_count != 1:
             raise AssertionError(f"trial {trial}: sample is disconnected")
 
-        alpha = maximum_matching(g).size
-        for name, _, numerator, scale in evaluate_bounds(g, config.k):
-            if numerator is None:
-                continue
-            if scale * alpha < numerator:
+        report = audit_graph(g, config.k)
+        for e in report.entries:
+            margin = e.margin(report.alpha)
+            if margin == 0:
+                outcome.tight_hits[e.name] = (
+                    outcome.tight_hits.get(e.name, 0) + 1)
+            elif margin is not None and margin < 0:
                 outcome.violations.append(
-                    FuzzViolation(config.seed, trial, g, name))
-            elif scale * alpha == numerator:
-                outcome.tight_hits[name] = outcome.tight_hits.get(name, 0) + 1
+                    FuzzViolation(config.seed, trial, g, e.name))
     return outcome

@@ -116,12 +116,13 @@ def test_mixed_block_chain_reproduces_the_reference_instance():
     assert maximum_matching(gg.graph).size == 8 == gg.predicted_alpha
     report = audit_graph(gg.graph, 4)
     assert report.entry("connected_even").value == 8
-    assert report.entry("connected_even").slack == 0
+    assert report.entry("connected_even").margin(report.alpha) == 0
     # the same chain with every block a gadget, same zero slack
     gg2 = block_chain(4, 2, "gadgets")
     assert (gg2.graph.vertex_count, gg2.graph.edge_count) == (37, 71)
     assert maximum_matching(gg2.graph).size == 16 == gg2.predicted_alpha
-    assert audit_graph(gg2.graph, 4).entry("connected_even").slack == 0
+    report2 = audit_graph(gg2.graph, 4)
+    assert report2.entry("connected_even").margin(report2.alpha) == 0
 
 
 def test_dressed_tree_reproduces_the_reference_instance():
@@ -132,7 +133,7 @@ def test_dressed_tree_reproduces_the_reference_instance():
     assert maximum_matching(gg.graph).size == 12 == gg.predicted_alpha
     report = audit_graph(gg.graph, 3)
     assert report.entry("connected_odd").value == 12
-    assert report.entry("connected_odd").slack == 0
+    assert report.entry("connected_odd").margin(report.alpha) == 0
 
 
 def test_smallest_regular_ring_meets_the_density_bound_exactly():
@@ -142,7 +143,8 @@ def test_smallest_regular_ring_meets_the_density_bound_exactly():
     assert is_k_regular(g, 4).overall
     assert components(g).component_count == 1
     assert maximum_matching(g).size == 5 == gg.predicted_alpha
-    assert audit_graph(g, 4).entry("connected_even_density").slack == 0
+    report = audit_graph(g, 4)
+    assert report.entry("connected_even_density").margin(report.alpha) == 0
 
 
 SCALED_ROWS = {
@@ -259,16 +261,16 @@ def test_exceptional_regular_graphs_meet_their_bounds_exactly():
     report = audit_graph(k5, 4)
     assert report.alpha == 2
     assert report.entry("connected_even").value == 2
-    assert report.entry("connected_even").slack == 0
-    assert report.entry("connected_even_density").slack == 0
+    assert report.entry("connected_even").margin(report.alpha) == 0
+    assert report.entry("connected_even_density").margin(report.alpha) == 0
     # 4-regular on k+3 = 7 vertices
     c7 = circulant(7, (1, 2))
     assert tutte_berge(c7).value == 3
     report7 = audit_graph(c7, 4)
     assert report7.alpha == 3
     assert report7.entry("connected_even").value == 3
-    assert report7.entry("connected_even").slack == 0
-    assert report7.entry("connected_even_density").slack == 0
+    assert report7.entry("connected_even").margin(report7.alpha) == 0
+    assert report7.entry("connected_even_density").margin(report7.alpha) == 0
 
 
 AVERAGE_DEGREE_TRUNCATIONS = {

@@ -157,10 +157,13 @@ def test_format_decimal_half_even():
 
 def test_entries_store_each_fact_once():
     assert CoefficientSet._fields == ("a", "b")
-    assert BoundEntry._fields == ("name", "reason", "value", "slack")
-    skipped = audit_graph(complete(5), 4).entry("general")
+    assert BoundEntry._fields == ("name", "reason", "numerator", "scale")
+    report = audit_graph(complete(5), 4)
+    skipped = report.entry("general")
     assert skipped.value is None and skipped.reason
-    assert not (skipped.applicable or skipped.tight or skipped.violated)
+    # neither applicable nor tight nor violated
+    assert skipped.margin(report.alpha) is None
+    assert skipped not in report.violations
 
 
 def test_audit_on_connected_cubic_graph():
@@ -168,9 +171,9 @@ def test_audit_on_connected_cubic_graph():
     report = audit_graph(g, 3)
     assert report.alpha == 5
     # 3-regular: the no-regular-component bounds must be skipped
-    assert not report.entry("general").applicable
-    assert report.entry("connected_odd").applicable
-    assert report.entry("regular_reference").applicable
+    assert report.entry("general").margin(report.alpha) is None
+    assert report.entry("connected_odd").margin(report.alpha) is not None
+    assert report.entry("regular_reference").margin(report.alpha) is not None
     assert report.entry("regular_reference").value == F(39, 9)
     assert report.entry("subcubic_profile").value == F(39, 9)
     assert not report.violations
@@ -179,16 +182,16 @@ def test_audit_on_connected_cubic_graph():
 def test_audit_skips_connected_bounds_on_forests():
     g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
     report = audit_graph(g, 3)
-    assert report.entry("general").applicable
+    assert report.entry("general").margin(report.alpha) is not None
     assert report.entry("general").value == F(6 + 6 - 3, 9)
     entry = report.entry("connected_odd")
-    assert not entry.applicable and "connected" in entry.reason
+    assert entry.margin(report.alpha) is None and "connected" in entry.reason
 
 
 def test_audit_subcubic_applies_under_any_k():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     report = audit_graph(g, 7)  # k=7 audit of a path
-    assert report.entry("subcubic_profile").applicable
+    assert report.entry("subcubic_profile").margin(report.alpha) is not None
     # P4: two degree-1 ends, two degree-2 middles -> 4/9 + 2/3 - 1/9
     assert report.entry("subcubic_profile").value == 1
 
@@ -196,20 +199,20 @@ def test_audit_subcubic_applies_under_any_k():
 def test_audit_skips_subcubic_when_degree_exceeds_three():
     report = audit_graph(complete(5), 4)
     entry = report.entry("subcubic_profile")
-    assert not entry.applicable
+    assert entry.margin(report.alpha) is None
 
 
 def test_audit_regular_exception_values():
     rep5 = audit_graph(complete(5), 4)
-    assert rep5.entry("connected_even").tight
-    assert rep5.entry("connected_even_density").tight
+    assert rep5.entry("connected_even").margin(rep5.alpha) == 0
+    assert rep5.entry("connected_even_density").margin(rep5.alpha) == 0
     rep7 = audit_graph(circulant(7, (1, 2)), 4)
-    assert rep7.entry("connected_even").tight
-    assert rep7.entry("connected_even_density").tight
+    assert rep7.entry("connected_even").margin(rep7.alpha) == 0
+    assert rep7.entry("connected_even_density").margin(rep7.alpha) == 0
     # C9(1,2): 4-regular on 9 vertices, the third exceptional case
     rep9 = audit_graph(circulant(9, (1, 2)), 4)
     assert rep9.alpha == 4
-    assert rep9.entry("connected_even_density").tight
+    assert rep9.entry("connected_even_density").margin(rep9.alpha) == 0
     assert not rep9.violations
 
 
@@ -375,18 +378,19 @@ def test_integer_verdicts_match_a_fraction_reference():
         for g in verdict_graphs(k):
             alpha = maximum_matching(g).size
             expected = reference_bounds(g, k)
-            got = {name: (numerator, scale)
-                   for name, _, numerator, scale in evaluate_bounds(g, k)
-                   if numerator is not None}
+            got = {e.name: e for e in evaluate_bounds(g, k)
+                   if e.numerator is not None}
             assert set(got) == set(expected), (k, g.edges())
-            for name, (numerator, scale) in got.items():
-                assert F(numerator, scale) == expected[name], (k, name)
+            for name, e in got.items():
+                assert e.value == expected[name], (k, name)
                 # the verdicts at alpha' and at alpha' - 1, where every
                 # bound that was tight is violated
                 for a in (alpha, alpha - 1):
                     slack = a - expected[name]
-                    assert (scale * a == numerator) == (slack == 0)
-                    assert (scale * a < numerator) == (slack < 0)
+                    margin = e.margin(a)
+                    assert F(margin, e.scale) == slack, (k, name, a)
+                    assert (margin == 0) == (slack == 0)
+                    assert (margin < 0) == (slack < 0)
             if "regular_reference" in got:
                 regular_orders.add((k, g.vertex_count))
     assert {(k, k + 1) for k in range(3, 9)} <= regular_orders

@@ -305,16 +305,23 @@ def test_region_explicit_bbox(tmp_path, capsys):
                   "--bbox", "-1/4,1/4,-1/2,1/2")[0] == 0
     assert explicit.read_bytes() == implicit.read_bytes()
     short = tmp_path / "short.csv"
-    code, out, err = invoke(capsys, "region", "--k", "4", "--polygon",
-                            str(short), "--bbox", "-1/4,1/4,-1/2")
-    assert code == 2 and out == "" and not short.exists()
-    assert "--bbox needs 4 comma-separated rationals" in err
-    # a long argument is quoted only in part
-    code, out, err = invoke(capsys, "region", "--k", "4", "--polygon",
-                            str(short), "--bbox", "1," * 2500)
-    assert (code, out) == (2, "") and not short.exists()
-    assert err == ("error: --bbox needs 4 comma-separated rationals, "
-                   f"got {'1,' * 20!r}...\n")
+    # with a point to classify, a failed run still prints nothing
+    for point in ([], ["--point", "0,0"]):
+        code, out, err = invoke(capsys, "region", "--k", "4", "--polygon",
+                                str(short), "--bbox", "-1/4,1/4,-1/2", *point)
+        assert (code, out) == (2, "") and not short.exists(), point
+        assert "--bbox needs 4 comma-separated rationals" in err
+        # a long argument is quoted only in part
+        code, out, err = invoke(capsys, "region", "--k", "4", "--polygon",
+                                str(short), "--bbox", "1," * 2500, *point)
+        assert (code, out) == (2, "") and not short.exists(), point
+        assert err == ("error: --bbox needs 4 comma-separated rationals, "
+                       f"got {'1,' * 20!r}...\n")
+        # a box without the extreme points
+        code, out, err = invoke(capsys, "region", "--k", "4", "--polygon",
+                                str(short), "--bbox", "0,1,0,1", *point)
+        assert (code, out) == (2, "") and not short.exists(), point
+        assert err.startswith("error: bbox must strictly contain"), point
     # a 27-digit corner is written in full, exactly
     wide = tmp_path / "wide.csv"
     code, _, err = invoke(capsys, "region", "--k", "4", "--polygon", str(wide),
@@ -329,11 +336,14 @@ def test_region_svg_refuses_a_box_it_cannot_draw(tmp_path, capsys):
     svg, csv = tmp_path / "o.svg", tmp_path / "o.csv"
     # one box is drawn 10**400 pixels high, the other 0 pixels high
     for bbox in ("--bbox=-1,1,-1e400,1e400", "--bbox=-1e400,1e400,-1,1"):
-        code, out, err = invoke(capsys, "region", "--k", "4", "--svg",
-                                str(svg), "--polygon", str(csv), bbox)
-        assert (code, out) == (2, ""), bbox
-        assert err.startswith("error: bbox cannot be drawn 480 pixels wide")
-        assert not svg.exists() and not csv.exists(), bbox
+        for point in ([], ["--point", "0,0"]):
+            code, out, err = invoke(capsys, "region", "--k", "4", "--svg",
+                                    str(svg), "--polygon", str(csv), bbox,
+                                    *point)
+            assert (code, out) == (2, ""), (bbox, point)
+            assert err.startswith(
+                "error: bbox cannot be drawn 480 pixels wide")
+            assert not svg.exists() and not csv.exists(), (bbox, point)
         polygon = str(tmp_path / "polygon.csv")
         assert invoke(capsys, "region", "--k", "4", "--polygon", polygon,
                       bbox) == (0, "", ""), bbox
@@ -452,6 +462,39 @@ def test_bad_family_and_region_parameters_exit_2(tmp_path, capsys, argv,
     argv = [edge if a == "EDGE" else a for a in argv]
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--k", "X", "--trials", "1", "--max-n", "5", "--seed", "1"],
+    ["fuzz", "--k", "3", "--trials", "X", "--max-n", "5", "--seed", "1"],
+    ["fuzz", "--k", "3", "--trials", "1", "--max-n", "X", "--seed", "1"],
+    ["fuzz", "--k", "3", "--trials", "1", "--max-n", "5", "--seed", "X"],
+    ["construct", "gkr", "--k", "X", "--r", "1"],
+    ["construct", "gkr", "--k", "4", "--r", "X"],
+    ["construct", "fkr", "--k", "4", "--r", "X"],
+    ["construct", "hkr", "--k", "3", "--r", "X"],
+    ["tutte-berge", "EDGE", "--max-n", "X"],
+    ["audit", "EDGE", "--k", "X"],
+    ["region", "--k", "X"],
+])
+def test_a_refused_integer_flag_is_quoted_only_in_part(tmp_path, capsys,
+                                                       argv):
+    edge = write_graph(tmp_path, "edge.el", "2 1\n0 1\n")
+    flag = argv[argv.index("X") - 1]
+    # not an int to any Python, whatever its digit limit
+    for bad in ("x" * 5000, "7" * 5999 + "x"):
+        code, out, err = invoke(capsys, *(
+            edge if a == "EDGE" else bad if a == "X" else a for a in argv))
+        assert (code, out) == (2, ""), flag
+        assert err.endswith(f"error: argument {flag}: invalid int value: "
+                            f"{bad[:40]!r}...\n"), flag
+        assert bad[:41] not in err
+    # a short refused value is quoted whole, as argparse quotes it
+    code, _, err = invoke(capsys, *(
+        edge if a == "EDGE" else "1.5" if a == "X" else a for a in argv))
+    assert code == 2
+    assert err.endswith(f"error: argument {flag}: invalid int value: "
+                        "'1.5'\n")
 
 
 def test_oversized_header_is_rejected_before_building(

@@ -263,7 +263,8 @@ def test_full_range_samples_match_the_recorded_digest():
     assert digest.hexdigest() == GOLDEN_SAMPLES_FULL_RANGE
 
 
-def test_run_fuzz_reports_a_bound_that_exceeds_alpha(monkeypatch, capsys):
+def test_run_fuzz_reports_a_bound_that_exceeds_alpha(monkeypatch, capsys,
+                                                     tmp_path):
     real_rows = bounds.bound_rows
 
     def inflated(k):
@@ -289,3 +290,33 @@ def test_run_fuzz_reports_a_bound_that_exceeds_alpha(monkeypatch, capsys):
     assert [(v["trial"], v["bound"], v["graph"])
             for v in payload["violations"]] == [
         (v.trial, "general", emit_edge_list(v.graph)) for v in expected]
+    # audit reads the same verdict off the first graph fuzz reported
+    path = tmp_path / "violation.el"
+    path.write_text(payload["violations"][0]["graph"])
+    code = run_cli(["audit", str(path), "--k", "4"])
+    rows = {line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    assert code == 1
+    assert rows["general"][-1] == "VIOLATED"
+
+
+def test_a_sweep_builds_no_fraction(monkeypatch):
+    for k in (3, 4, 5, 6):
+        bounds.bound_rows(k)  # the rows are built once per k, with Fractions
+
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(bounds, "Fraction", refuse)
+    tight = 0
+    for k in (3, 4, 5, 6):
+        outcome = run_fuzz(FuzzConfig(k=k, trials=100, max_n=16, seed=k))
+        assert outcome.violations == []
+        tight += sum(outcome.tight_hits.values())
+        report = bounds.audit_graph(
+            random_connected_bounded(k, 12, k, forbid_regular=True), k)
+        assert not report.violations
+    assert tight  # the tight verdict is reached too
+    # the patch is the one a printed value goes through
+    with pytest.raises(AssertionError, match="built"):
+        report.entries[0].value
