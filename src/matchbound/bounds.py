@@ -242,9 +242,13 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
     disconnected = "" if c == 1 else "graph is not connected"
     empty = "" if n >= 1 else "empty graph"
 
+    # tuple.__new__ skips the generated keyword-aware __new__ of BoundEntry,
+    # which takes twice as long on this path
+    new = tuple.__new__
+
     def entry(row: BoundRow, reason: str) -> BoundEntry:
         numerator = None if reason else row.numerator(n, m, c, regular)
-        return BoundEntry(row.name, reason, numerator, row.scale)
+        return new(BoundEntry, (row.name, reason, numerator, row.scale))
 
     rows = bound_rows(k)
     out = [entry(rows.general, has_regular_part or empty)]
@@ -257,7 +261,7 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
         out.append(entry(ref[0], "graph is not connected and k-regular"))
     else:
         least = min(row.numerator(n, m, c, False) for row in ref)
-        out.append(BoundEntry(ref[0].name, "", least, ref[0].scale))
+        out.append(new(BoundEntry, (ref[0].name, "", least, ref[0].scale)))
 
     cubic_reason = empty or ("maximum degree exceeds 3"
                              if profile.max_degree > 3 else "")
@@ -267,8 +271,8 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
         # with n_d vertices of degree d, 2*n1 + 3*n2 + 4*n3 = (n - n0) + 2*m
         isolated = profile.component_sizes.count(1)
         cubic = cubic_row.numerator(n - isolated, m, c, False)
-    out.append(BoundEntry("subcubic_profile", cubic_reason, cubic,
-                          cubic_row.scale))
+    out.append(new(BoundEntry, ("subcubic_profile", cubic_reason, cubic,
+                                cubic_row.scale)))
     return out
 
 

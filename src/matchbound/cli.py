@@ -11,6 +11,7 @@ decimal columns are the exact half-even rounding to five places.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -195,9 +196,20 @@ def _read_graph(path: str) -> Graph:
         return parse_edge_list(f.read())
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as f:
-        f.write(text)
+def _write_files(*outputs: tuple[str, str]) -> None:
+    """Write each (path, text). If a write fails, the files this call has
+    opened are removed before the error is raised, so a failed run leaves
+    none of its output files behind."""
+    opened: list[str] = []
+    try:
+        for path, text in outputs:
+            with open(path, "w") as f:
+                opened.append(path)
+                f.write(text)
+    except OSError:
+        for path in opened:
+            os.remove(path)
+        raise
 
 
 def _cmd_matching(args: argparse.Namespace) -> int:
@@ -218,6 +230,10 @@ def _cmd_tutte_berge(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     report = audit_graph(_read_graph(args.file), args.k)
     rows = [_audit_row(e, report.alpha) for e in report.entries]
+    # the report file is written first, so a failed write prints nothing
+    if args.json:
+        payload = {"alpha": report.alpha, "k": args.k, "entries": rows}
+        _write_files((args.json, json.dumps(payload, indent=2) + "\n"))
     print(f"alpha = {report.alpha}")
     for r in rows:
         if not r["applicable"]:
@@ -227,9 +243,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 else "  tight" if r["tight"] else "")
         print(f"{r['name']:24} value {r['value']:>8}  slack "
               f"{r['slack']:>8}{flag}")
-    if args.json:
-        payload = {"alpha": report.alpha, "k": args.k, "entries": rows}
-        _write_text(args.json, json.dumps(payload, indent=2) + "\n")
     return 1 if report.violations else 0
 
 
@@ -247,14 +260,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     gg = _build_family(args)
     text = to_dot(gg.graph) if args.dot else emit_edge_list(gg.graph)
     if args.out:
-        _write_text(args.out, text)
         sidecar = {
             "n": gg.graph.vertex_count,
             "m": gg.graph.edge_count,
             "alpha_predicted": gg.predicted_alpha,
             "link_vertices": list(gg.link_vertices),
         }
-        _write_text(args.out + ".json", json.dumps(sidecar, indent=2) + "\n")
+        _write_files((args.out, text), (args.out + ".json",
+                                        json.dumps(sidecar, indent=2) + "\n"))
     else:
         sys.stdout.write(text)
     return 0
@@ -270,15 +283,13 @@ def _build_family(args: argparse.Namespace) -> GeneratedGraph:
             raise ValueError(
                 "construct hkr takes --tree or --r/--mode, not both")
         backbone = _read_graph(args.tree)
+        part2 = None
         if args.part2 is not None:
             try:
                 part2 = [int(s) for s in args.part2.split(",")]
             except ValueError:
                 raise ValueError("--part2 needs comma-separated vertex ids, "
                                  f"got {clip_field(args.part2)}") from None
-        else:
-            part2 = [v for v, odd in enumerate(backbone.structure.parity)
-                     if odd]
         return tree_with_gadgets(args.k, bipartite_tree(backbone, part2))
     if args.part2 is not None:
         raise ValueError("construct hkr takes --part2 only with --tree")
@@ -345,15 +356,16 @@ def _cmd_region(args: argparse.Namespace) -> int:
         bbox = (DEFAULT_BBOX if args.bbox is None
                 else _parse_rationals(args.bbox, 4, "--bbox"))
         points = region_polygon(k, bbox)
-        svg = polygon_svg(points, bbox) if args.svg else None
+        outputs = []
         if args.polygon:
             rows = ["gamma_exact,beta_exact,gamma_dec,beta_dec"]
             rows.extend(
                 f"{g},{b},{format_decimal(g)},{format_decimal(b)}"
                 for g, b in points)
-            _write_text(args.polygon, "\n".join(rows) + "\n")
+            outputs.append((args.polygon, "\n".join(rows) + "\n"))
         if args.svg:
-            _write_text(args.svg, svg)
+            outputs.append((args.svg, polygon_svg(points, bbox)))
+        _write_files(*outputs)
     if verdict is not None:
         print(verdict)
     return 0

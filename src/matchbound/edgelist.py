@@ -7,22 +7,27 @@ to the identical byte string. Parse errors carry 1-based line numbers.
 
 Two routes give the same result. A text made only of lines of two ASCII
 numbers one space apart, each ended by a newline, as every emitted text
-is, takes the bulk route: one split of the whole text, the header checks,
-one u < v check over all edges, then `build_graph`. The bulk route only
+is, takes the bulk route: the header checks, one C scan of the body into
+a flat list of integers (``json.loads`` once the separators are commas),
+one u < v check over its two interleaved columns, then
+`graphs.assemble_graph`, the loop that builds every graph and checks ids
+and repeats. No tuple or string is made per edge. The bulk route only
 accepts: any other text, and any text on which it raises a ValueError of
 any kind, is parsed line by line, which names the faulty line.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import islice
 from operator import lt
 from typing import Iterator
 
 from matchbound.graphs import (MAX_EDGES, MAX_VERTICES, Graph, GraphError,
-                               build_graph, clip_field)
+                               assemble_graph, build_graph, clip_field)
 
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 class EdgeListError(ValueError):
@@ -57,11 +62,19 @@ def _parse_bulk(text: str) -> Graph:
     n, m = map(int, text[:head].split())
     if n > MAX_VERTICES or m > MAX_EDGES or text.count("\n") != m + 1:
         raise ValueError("header")
-    ends = list(map(int, text[head:].split()))
-    us, vs = ends[0::2], ends[1::2]
-    if not all(map(lt, us, vs)):
+    # one C scan reads every id, as JSON integers; of the numbers that
+    # _is_canonical lets through, JSON refuses only those with a leading zero
+    try:
+        ends = json.loads("[" + text[head + 1:-1].translate(_COMMAS) + "]")
+    except ValueError:
+        ends = list(map(int, text[head:].split()))
+    if not all(map(lt, islice(ends, 0, None, 2), islice(ends, 1, None, 2))):
         raise ValueError("u < v")
-    return build_graph(n, zip(us, vs))
+    ids = iter(ends)
+    g = assemble_graph(n, zip(ids, ids))
+    if g is None:
+        raise ValueError("range or duplicate")
+    return g
 
 
 def _parse_lines(text: str) -> Graph:

@@ -150,11 +150,21 @@ class BipartiteTree(NamedTuple):
     part2: tuple[int, ...]
 
 
-def bipartite_tree(graph: Graph, part2) -> BipartiteTree:
-    """Validate and wrap an explicit tree with its chosen second part."""
+def bipartite_tree(graph: Graph, part2=None) -> BipartiteTree:
+    """Validate and wrap an explicit tree with its chosen second part, by
+    default the vertices at odd distance from vertex 0."""
     n = graph.vertex_count
     if graph.edge_count != n - 1 or components(graph).component_count != 1:
         raise ValueError("input graph is not a tree")
+    if part2 is None:
+        side = [0] + [None] * (n - 1)
+        queue = [0]
+        for v in queue:
+            for u in graph.adjacency[v]:
+                if side[u] is None:
+                    side[u] = side[v] ^ 1
+                    queue.append(u)
+        part2 = [v for v in range(n) if side[v]]
     in2 = set(part2)
     if not all(0 <= v < n for v in in2):
         raise ValueError("part-2 ids out of range")

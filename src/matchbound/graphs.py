@@ -17,11 +17,11 @@ from typing import Iterable, NamedTuple
 # so this caps the vertices of one graph at about 0.7 GB.
 MAX_VERTICES = 10 ** 7
 # Largest size an input or a generator may ask for. Beyond its vertices,
-# build_graph peaks at 65-105 bytes per edge, a whole generated member or
-# edge list read in bulk at 190-300, and one read line by line at 205-245
-# (tracemalloc, m/n 1 to 20; the generator's own edge list and the parser's
-# integers included, the text not), so this caps one graph at about 3.7 GB
-# with MAX_VERTICES.
+# build_graph peaks at 40-100 bytes per edge, a whole generated member at
+# 170-300, an edge list read in bulk at 105-160 and one read line by line at
+# 160-220 (tracemalloc, m/n 1 to 20; the generator's own edge list and the
+# parser's integers included, the text not), so this caps one graph at
+# about 3.7 GB with MAX_VERTICES.
 MAX_EDGES = 10 ** 7
 
 
@@ -61,7 +61,7 @@ class Graph(namedtuple("Graph", "vertex_count adjacency edge_count")):
 
     @cached_property
     def structure(self) -> Structure:
-        """Components, degrees and BFS parity, computed on first use."""
+        """Components and degrees, computed on first use."""
         return _flood(self.adjacency, [False] * self.vertex_count)
 
 
@@ -69,7 +69,6 @@ def _flood(adjacency: tuple[tuple[int, ...], ...],
            seen: list[bool]) -> Structure:
     """The one BFS, over the vertices not yet `seen`. With X marked first, the
     sizes are those of G - X; the other fields still describe degrees in G."""
-    parity = [0] * len(seen)
     sizes: list[int] = []
     common: list[int | None] = []
     for start in range(len(seen)):
@@ -84,64 +83,77 @@ def _flood(adjacency: tuple[tuple[int, ...], ...],
             for u in adjacency[v]:
                 if not seen[u]:
                     seen[u] = True
-                    parity[u] = parity[v] ^ 1
                     queue.append(u)
         sizes.append(len(queue))
         common.append(degree)
     return Structure(tuple(sizes), tuple(common),
-                     max(map(len, adjacency), default=0), tuple(parity))
+                     max(map(len, adjacency), default=0))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph on vertices 0..n-1 from unordered pairs.
 
     Rejects loops, duplicate pairs (in either orientation) and out-of-range
-    ids, naming the offending pair and its position in the error.
-
-    One bucket step builds the adjacency: each pair is appended to the lists
-    of both ends, and each list is sorted (linear time on sorted pairs).
-    Pairs are taken as they are when each has 0 <= u < v < n and one set of
-    pairs shows no duplicate; any other input, and any defect, is re-scanned
-    in input order, so the error names the first defect.
+    ids, naming the first offending pair in input order and its position.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
     pairs = list(edges)
+    g = assemble_graph(n, pairs)
+    if g is None:
+        raise _first_defect(n, pairs)
+    return g
+
+
+def assemble_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph | None:
+    """The graph of `pairs`, or None if a pair has an id outside 0..n-1, is a
+    loop or repeats another pair in either orientation. Every Graph is built
+    here.
+
+    One bucket step: each pair is appended to the lists of both ends. Pairs
+    in lexicographic order with u < v, as every edge list is emitted, leave
+    each list strictly increasing, which shows that no pair repeats. Any
+    other order sorts each list, where a repeated pair leaves a repeated
+    neighbour that a set of the list shows. No object is kept per pair, and
+    `pairs` is read once, so it may be an iterator.
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
-    clean = True
+    ordered = True  # every list strictly increasing so far
     try:
         for u, v in pairs:
-            if not 0 <= u < v:
-                clean = False
-            adj[u].append(v)
-            adj[v].append(u)
+            # no loop, and no negative id, which would index from the end
+            if not 0 <= u != v >= 0:
+                return None
+            low, high = adj[u], adj[v]
+            if ordered and (low and low[-1] >= v or high and high[-1] >= u):
+                ordered = False
+            low.append(v)
+            high.append(u)
     except IndexError:
-        clean = False  # an id out of range: the re-scan names it
-    for nbrs in adj:
-        nbrs.sort()
-    if clean:
-        try:
-            clean = len(set(pairs)) == len(pairs)
-        except TypeError:  # unhashable pairs, such as lists
-            clean = False
-    if not clean:
-        _check_in_order(n, pairs)
-    return Graph(n, tuple(map(tuple, adj)), len(pairs))
+        return None
+    ends = sum(map(len, adj))
+    if not ordered:
+        for nbrs in adj:
+            nbrs.sort()
+        if sum(map(len, map(set, adj))) != ends:
+            return None
+    return Graph(n, tuple(map(tuple, adj)), ends // 2)
 
 
-def _check_in_order(n: int, pairs: list[tuple[int, int]]) -> None:
-    """Raise GraphError for the first defective pair, if there is one."""
+def _first_defect(n: int, pairs: list[tuple[int, int]]) -> GraphError:
+    """The GraphError of the first defective pair; `pairs` has one."""
     seen: list[set[int]] = [set() for _ in range(n)]
     for i, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({clip_field(u)}, {clip_field(v)}) out "
-                             f"of range for n={n}", i)
+            return GraphError(f"edge ({clip_field(u)}, {clip_field(v)}) out "
+                              f"of range for n={n}", i)
         if u == v:
-            raise GraphError(f"loop edge ({u}, {v}) not allowed", i)
+            return GraphError(f"loop edge ({u}, {v}) not allowed", i)
         if v in seen[u]:
-            raise GraphError(f"duplicate edge ({u}, {v})", i)
+            return GraphError(f"duplicate edge ({u}, {v})", i)
         seen[u].add(v)
         seen[v].add(u)
+    raise AssertionError("no defective pair")
 
 
 def clip_field(field: str | int) -> str:
@@ -169,8 +181,6 @@ class Structure(NamedTuple):
     # the degree shared by every vertex of a component, None if they differ
     component_degree: tuple[int | None, ...]
     max_degree: int
-    # BFS depth mod 2 from the lowest vertex of the vertex's component
-    parity: tuple[int, ...]
 
     @property
     def component_count(self) -> int:

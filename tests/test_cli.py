@@ -353,6 +353,33 @@ def test_region_svg_refuses_a_box_it_cannot_draw(tmp_path, capsys):
     assert 'height="1"' in svg.read_text()
 
 
+def test_region_leaves_no_file_when_a_later_write_fails(tmp_path, capsys):
+    csv = tmp_path / "p.csv"
+    code, out, err = invoke(capsys, "region", "--k", "4", "--point", "0,0",
+                            "--polygon", str(csv),
+                            "--svg", str(tmp_path / "missing" / "x.svg"))
+    assert (code, out) == (2, "") and "No such file or directory" in err
+    assert not csv.exists()
+
+
+def test_construct_leaves_no_file_when_the_sidecar_fails(tmp_path, capsys):
+    out_path = tmp_path / "x.el"
+    (tmp_path / "x.el.json").mkdir()
+    code, out, err = invoke(capsys, "construct", "gkr", "--k", "4", "--r",
+                            "1", "--out", str(out_path))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not out_path.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.el.json"]
+
+
+def test_audit_prints_nothing_when_its_report_file_fails(tmp_path, capsys):
+    path = write_graph(tmp_path, "k4.el",
+                       "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, err = invoke(capsys, "audit", path, "--k", "3", "--json",
+                            str(tmp_path / "missing" / "r.json"))
+    assert (code, out) == (2, "") and "No such file or directory" in err
+
+
 def test_region_rejects_bad_points(capsys):
     assert invoke(capsys, "region", "--k", "4", "--point", "1/0,2")[0] == 2
     assert invoke(capsys, "region", "--k", "4", "--point", "5")[0] == 2

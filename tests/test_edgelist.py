@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 
@@ -169,6 +170,12 @@ LINE_MUTATIONS = {
     "letter": _token_edit(lambda tok, x: tok + "x"),
     "header_m": lambda lines, i, x: lines.__setitem__(
         0, "%s %d" % (lines[0].split(" ")[0], len(lines) - 2 + x)),
+    "far_duplicate": lambda lines, i, x: lines.append(lines[i]),
+    "top_id": lambda lines, i, x: lines.__setitem__(
+        i, "%d %s" % (x, lines[0].split(" ")[0])),
+    # canonical texts need not list their edges in order
+    "shuffle": lambda lines, i, x: lines.__setitem__(
+        slice(1, None), random.Random(x).sample(lines[1:], len(lines) - 1)),
     # past int()'s 4300-digit limit on Python 3.11 and later; out of range
     # on older Pythons
     "long_number": _token_edit(lambda tok, x: str(x % 9 + 1) * 5000),
@@ -271,6 +278,40 @@ def test_line_route_peak_per_edge():
     # 242 on this file; a kept row per edge took 393, with its split
     # fields 593
     assert peak / g.edge_count < 450
+
+
+def test_bulk_route_peak_per_edge():
+    # a gkr k=4 member of about 10^5 vertices, read in bulk
+    text = emit_edge_list(block_chain(4, 6250).graph)
+    assert edgelist._is_canonical(text)
+    tracemalloc.start()
+    try:
+        g = edgelist._parse_bulk(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == edgelist._parse_lines(text)
+    # 164 on this file; a split into strings and a tuple per edge took 267
+    assert peak / g.edge_count <= 220
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("3 2\n01 2\n0 001\n", "graph"),
+    ("03 1\n0 2\n", "graph"),
+    ("3 2\n00 1\n0 01\n", "line 3: duplicate edge (0, 1)"),
+    ("4 3\n0 1\n2 3\n0 1\n", "line 4: duplicate edge (0, 1)"),
+    ("4 4\n2 3\n0 1\n1 3\n0 1\n", "line 5: duplicate edge (0, 1)"),
+    ("3 1\n0 3\n", "line 2: edge (0, 3) out of range for n=3"),
+    ("3 2\n0 1\n1 3\n", "line 3: edge (1, 3) out of range for n=3"),
+    ("5 0\n", "graph"),
+    ("0 0\n", "graph"),
+    ("3 0\n0 1\n", "header promises 0 edge lines, found 1"),
+    ("5 4\n3 4\n0 2\n1 4\n0 1\n", "graph"),
+])
+def test_canonical_texts_read_alike_by_both_routes(text, outcome):
+    assert edgelist._is_canonical(text)
+    found = routes_agree(text)
+    assert (found if isinstance(found, str) else "graph") == outcome
 
 
 @pytest.mark.parametrize("text", [

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from matchbound import families
 from matchbound.families import (bipartite_tree, block_chain, canonical_tree,
@@ -123,6 +124,30 @@ def test_bipartite_tree_validation():
         bipartite_tree(build_graph(3, [(0, 1)]), [1])  # disconnected
     with pytest.raises(ValueError):
         bipartite_tree(build_graph(3, [(0, 1), (1, 2), (0, 2)]), [1])
+
+
+@st.composite
+def trees(draw):
+    """A random tree on 1..12 vertices, its ids shuffled."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(n)))
+    return build_graph(n, [(ids[v], ids[draw(st.integers(0, v - 1))])
+                           for v in range(1, n)])
+
+
+@given(trees())
+def test_default_part2_is_the_odd_distance_class(g):
+    # parity of the distance from vertex 0, by a plain BFS
+    dist = {0: 0}
+    queue = [0]
+    for w in queue:
+        for u in g.adjacency[w]:
+            if u not in dist:
+                dist[u] = dist[w] + 1
+                queue.append(u)
+    odd = tuple(v for v in range(g.vertex_count) if dist[v] % 2)
+    assert bipartite_tree(g).part2 == odd
+    assert bipartite_tree(g, odd) == bipartite_tree(g)
 
 
 def test_tree_with_gadgets_reference_instance():

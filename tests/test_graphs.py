@@ -175,17 +175,6 @@ def test_structure_matches_a_plain_recomputation(g):
                          for low in lows)
         assert is_k_regular(g, k).per_component == expected
     assert s.max_degree == max(map(g.degree, range(n)), default=0)
-    # parity of the distance from the lowest vertex of each component
-    for low in lows:
-        dist = {low: 0}
-        queue = [low]
-        for w in queue:
-            for u in g.adjacency[w]:
-                if u not in dist:
-                    dist[u] = dist[w] + 1
-                    queue.append(u)
-        for v, d in dist.items():
-            assert s.parity[v] == d % 2
 
 
 def test_structure_is_shared_and_read_only():
