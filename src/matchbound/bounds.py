@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from matchbound.graphs import Graph, components, degree_profile, is_k_regular
+from matchbound.graphs import Graph
 from matchbound.matching import maximum_matching
 
 
@@ -228,17 +228,17 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
     """
     if k < 3:
         raise ValueError(f"audit needs k >= 3, got {k}")
-    profile = degree_profile(g)
-    if profile.max_degree > k:
+    structure = g.structure
+    if structure.max_degree > k:
         raise ValueError(
-            f"maximum degree {profile.max_degree} exceeds k={k}")
+            f"maximum degree {structure.max_degree} exceeds k={k}")
     n = g.vertex_count
     m = g.edge_count
-    c = components(g).component_count
+    c = structure.component_count
     regular = 2 * m == n * k
     # why a hypothesis fails; empty when it holds
     has_regular_part = ("k-regular component present"
-                        if any(is_k_regular(g, k).per_component) else "")
+                        if k in structure.component_degree else "")
     disconnected = "" if c == 1 else "graph is not connected"
     empty = "" if n >= 1 else "empty graph"
 
@@ -264,12 +264,12 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
         out.append(new(BoundEntry, (ref[0].name, "", least, ref[0].scale)))
 
     cubic_reason = empty or ("maximum degree exceeds 3"
-                             if profile.max_degree > 3 else "")
+                             if structure.max_degree > 3 else "")
     cubic = None
     cubic_row = bound_rows(3).general
     if not cubic_reason:
         # with n_d vertices of degree d, 2*n1 + 3*n2 + 4*n3 = (n - n0) + 2*m
-        isolated = profile.component_sizes.count(1)
+        isolated = structure.component_sizes.count(1)
         cubic = cubic_row.numerator(n - isolated, m, c, False)
     out.append(new(BoundEntry, ("subcubic_profile", cubic_reason, cubic,
                                 cubic_row.scale)))

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchbound import matching
 from matchbound.cli import run_cli
@@ -17,6 +18,7 @@ from matchbound.graphs import (Graph, build_graph,
 from matchbound.matching import (Matching, OracleSizeError, maximum_matching,
                                  tutte_berge, verify_matching)
 
+from closure_matching import closure_maximum_matching
 from graph_helpers import circulant, complete, disjoint, path, petersen
 
 
@@ -156,6 +158,45 @@ def test_oracle_agrees_with_blossom_after_failed_searches():
         assert verify_matching(g, m)
         assert m.size == tutte_berge(g).value
         checked += 1
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """Disjoint unions of random edge sets, fuzz samples and isolated
+    vertices, relabelled by a random permutation."""
+    parts = draw(st.lists(st.one_of(
+        st.integers(0, 10).flatmap(lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1)))
+            if n else st.just([]))),
+        st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(1, 24),
+                  st.integers(3, 6)).map(
+            lambda a: (a[1], random_connected_bounded(*a).edges())),
+    ), max_size=4))
+    edges, offset = set(), 0
+    for n, pairs in parts:
+        edges.update((min(u, v) + offset, max(u, v) + offset)
+                     for u, v in pairs if u != v)
+        offset += n
+    label = draw(st.permutations(range(offset)))
+    return build_graph(offset, [(label[u], label[v]) for u, v in edges])
+
+
+@given(graphs_with_isolated_vertices())
+@settings(max_examples=300, deadline=None)
+def test_one_loop_search_equals_the_closure_search(g):
+    m = maximum_matching(g)
+    assert m == closure_maximum_matching(g)
+    assert verify_matching(g, m)
+
+
+def test_one_loop_search_equals_the_closure_search_on_fuzz_samples():
+    rng = random.Random(50411)
+    for i in range(2000):
+        g = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 60),
+                                     rng.randint(3, 8),
+                                     forbid_regular=i % 2 == 1)
+        assert maximum_matching(g) == closure_maximum_matching(g)
 
 
 class CountingAdjacency(tuple):
