@@ -30,8 +30,8 @@ from matchbound.graphs import Graph, clip_field
 from matchbound.matching import (DEFAULT_MAX_N, MAX_ORACLE_ORDER,
                                  maximum_matching, tutte_berge)
 
-# Strictly contains the extreme points of every k >= 3 (|gamma| <= 1/11,
-# beta in (0, 3/11]), so `region` works without an explicit --bbox.
+# Strictly contains the extreme points of every k >= 3 (|gamma| <= 1/9,
+# reached at k = 3; beta in (0, 3/11]), so `region` needs no --bbox.
 DEFAULT_BBOX = (Fraction(-1, 4), Fraction(1, 4),
                 Fraction(-1, 2), Fraction(1, 2))
 

@@ -7,13 +7,14 @@ to the identical byte string. Parse errors carry 1-based line numbers.
 
 Two routes give the same result. A text made only of lines of two ASCII
 numbers one space apart, each ended by a newline, as every emitted text
-is, takes the bulk route: the header checks, one C scan of the body into
-a flat list of integers (``json.loads`` once the separators are commas),
+is, is read in bulk: the header checks, one C scan of the body into a
+flat list of integers (``json.loads`` once the separators are commas),
 one u < v check over its two interleaved columns, then
 `graphs.assemble_graph`, the loop that builds every graph and checks ids
-and repeats. No tuple or string is made per edge. The bulk route only
-accepts: any other text, and any text on which it raises a ValueError of
-any kind, is parsed line by line, which names the faulty line.
+and repeats. No tuple or string is made per edge. The bulk read only
+accepts: any other text, one with an empty number or a leading zero
+(which JSON refuses), and one with a fault of any kind, is parsed line
+by line, which names the faulty line.
 """
 
 from __future__ import annotations
@@ -35,46 +36,35 @@ class EdgeListError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    if _is_canonical(text):
-        try:
-            return _parse_bulk(text)
-        except ValueError:
-            pass  # the line route names the fault and its line
-    return _parse_lines(text)
+    g = _parse_bulk(text)
+    return _parse_lines(text) if g is None else g
 
 
-def _is_canonical(text: str) -> bool:
-    """Whether text is only lines of two ASCII numbers one space apart, each
-    ended by a newline: with the ASCII digits dropped, exactly " \\n" per
-    line is left, and no number is empty. Digits such as '٣', which int()
-    reads, are left too. A regex with a repeated group would need about 200
-    bytes of backtracking state per line; this check copies the text once."""
+def _parse_bulk(text: str) -> Graph | None:
+    """The graph of a text read in one scan, or None, unworded, for the line
+    route to read or to name the fault of. With the ASCII digits dropped,
+    exactly " \\n" per line must be left, so a digit such as '٣', which int()
+    reads, sends a text to the line route. A regex with a repeated group
+    would need about 200 bytes of backtracking state per line; this test
+    copies the text once."""
     shape = text.translate(_DROP_DIGITS)
-    return (len(shape) == 2 * shape.count(" \n")
-            and text.endswith("\n") and not text.startswith(" ")
-            and "\n " not in text and " \n" not in text)
-
-
-def _parse_bulk(text: str) -> Graph:
-    """The graph of a canonical text. Any fault raises a ValueError, unworded,
-    for the line route to name."""
+    lines = shape.count(" \n")
+    # without the final newline, "3 1\n0 2\n10" would read as one edge
+    if len(shape) != 2 * lines or not text.endswith("\n"):
+        return None
     head = text.index("\n")
-    n, m = map(int, text[:head].split())
-    if n > MAX_VERTICES or m > MAX_EDGES or text.count("\n") != m + 1:
-        raise ValueError("header")
-    # one C scan reads every id, as JSON integers; of the numbers that
-    # _is_canonical lets through, JSON refuses only those with a leading zero
     try:
+        n, m = map(int, text[:head].split())
+        if n > MAX_VERTICES or m > MAX_EDGES or lines != m + 1:
+            return None
+        # JSON refuses the empty numbers the shape test lets through
         ends = json.loads("[" + text[head + 1:-1].translate(_COMMAS) + "]")
     except ValueError:
-        ends = list(map(int, text[head:].split()))
+        return None
     if not all(map(lt, islice(ends, 0, None, 2), islice(ends, 1, None, 2))):
-        raise ValueError("u < v")
+        return None
     ids = iter(ends)
-    g = assemble_graph(n, zip(ids, ids))
-    if g is None:
-        raise ValueError("range or duplicate")
-    return g
+    return assemble_graph(n, zip(ids, ids))
 
 
 def _parse_lines(text: str) -> Graph:

@@ -1,4 +1,5 @@
-"""Every package name the benchmark under bench/ reaches must exist.
+"""Every package name the benchmark under bench/ reaches must exist, and
+the files it writes must take the bulk read.
 
 The benchmark's own self-tests are not part of this suite, so a deleted
 name would otherwise first show up as a failing `bench/run.py --trace 1`.
@@ -6,27 +7,31 @@ name would otherwise first show up as a failing `bench/run.py --trace 1`.
 
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import matchbound
+from matchbound import edgelist
+from matchbound.cli import run_cli
 from matchbound.graphs import build_graph
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracer():
+def load_bench(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_tracer", BENCH / "tracer.py")
+        f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look a module up
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_function_exists():
-    targets = load_tracer().TARGETS
+    targets = load_bench("tracer").TARGETS
     assert targets
     for _, name, module, _ in targets:
         assert callable(getattr(importlib.import_module(module), name, None)), \
@@ -47,7 +52,7 @@ def test_every_package_name_the_workloads_call_exists():
 def test_the_cli_import_loads_every_module_the_benchmark_resolves():
     # the harness imports matchbound.cli alone, then takes the modules it
     # binds as mb.<module>, and those the tracer patches, from sys.modules
-    wanted = {module for _, _, module, _ in load_tracer().TARGETS}
+    wanted = {module for _, _, module, _ in load_bench("tracer").TARGETS}
     for path in sorted(BENCH.glob("*.py")):
         wanted.update(f"matchbound.{m}"
                       for m in re.findall(r"\bmb\.(\w+)\.", path.read_text()))
@@ -66,3 +71,27 @@ def test_the_cli_import_loads_every_module_the_benchmark_resolves():
 def test_graphs_keep_the_masks_the_benchmark_measures():
     # bench/run.py sizes the largest traced graph's nbr_masks
     assert build_graph(3, [(0, 1), (1, 2)]).nbr_masks == (2, 5, 2)
+
+
+def test_every_family_shape_the_benchmark_writes_is_read_in_bulk(
+        tmp_path, monkeypatch, capsys):
+    # extremal-solve writes its members with `construct --out` and reads
+    # each twice per op; a line-by-line read of them would go unnoticed
+    def refuse(text):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(edgelist, "_parse_lines", refuse)
+    variants = load_bench("workloads").ExtremalSolve.VARIANTS
+    assert len(variants) == 12
+    path = tmp_path / "member.el"
+    for family, k, flags, r, _, _ in variants:
+        argv = ["construct", family, "--k", str(k), "--r", str(r), *flags,
+                "--out", str(path)]
+        if flags[1:] == ["pattern"]:
+            argv[-3] = ("gs" * r * k)[:r * (k - 1) + 1]
+        assert run_cli(argv) == 0, argv
+        alpha = json.loads(path.with_suffix(".el.json").read_text())[
+            "alpha_predicted"]
+        capsys.readouterr()
+        assert run_cli(["matching", str(path)]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["alpha"] == alpha, argv

@@ -128,20 +128,16 @@ def routes_agree(text):
     """Both parse routes give the same Graph or the same message."""
     by_lines = parse_outcome(edgelist._parse_lines, text)
     assert parse_outcome(parse_edge_list, text) == by_lines
-    if edgelist._is_canonical(text):
-        # the bulk route accepts exactly what the line route accepts and
-        # raises a ValueError, worded or not, on everything else
-        try:
-            assert edgelist._parse_bulk(text) == by_lines
-        except ValueError:
-            assert isinstance(by_lines, str)
+    # the bulk route accepts only what the line route accepts, and gives
+    # None on everything else
+    bulk = edgelist._parse_bulk(text)
+    assert bulk is None or bulk == by_lines
     return by_lines
 
 
 @given(graphs())
 def test_emitted_text_takes_the_bulk_route(g):
     text = emit_edge_list(g)
-    assert edgelist._is_canonical(text)
     assert edgelist._parse_bulk(text) == g
     assert routes_agree(text) == g
 
@@ -264,10 +260,10 @@ def test_lines_past_the_promised_count_are_counted_not_kept():
 
 def test_line_route_peak_per_edge():
     # a gkr k=4 member with a comment on every line, read line by line;
-    # the bulk read of the plain file peaks at about 266 bytes per edge
+    # the bulk read of the plain file peaks at about 158 bytes per edge
     plain = emit_edge_list(block_chain(4, 1250).graph)
     text = plain.replace("\n", " # c\n")
-    assert not edgelist._is_canonical(text)
+    assert edgelist._parse_bulk(text) is None
     tracemalloc.start()
     try:
         g = parse_edge_list(text)
@@ -275,7 +271,7 @@ def test_line_route_peak_per_edge():
     finally:
         tracemalloc.stop()
     assert emit_edge_list(g) == plain
-    # 242 on this file; a kept row per edge took 393, with its split
+    # 216 on this file; a kept row per edge took 393, with its split
     # fields 593
     assert peak / g.edge_count < 450
 
@@ -283,7 +279,6 @@ def test_line_route_peak_per_edge():
 def test_bulk_route_peak_per_edge():
     # a gkr k=4 member of about 10^5 vertices, read in bulk
     text = emit_edge_list(block_chain(4, 6250).graph)
-    assert edgelist._is_canonical(text)
     tracemalloc.start()
     try:
         g = edgelist._parse_bulk(text)
@@ -291,8 +286,11 @@ def test_bulk_route_peak_per_edge():
     finally:
         tracemalloc.stop()
     assert g == edgelist._parse_lines(text)
-    # 164 on this file; a split into strings and a tuple per edge took 267
+    # 166 on this file; a split into strings and a tuple per edge took 267
     assert peak / g.edge_count <= 220
+
+
+CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
 
 
 @pytest.mark.parametrize("text, outcome", [
@@ -309,7 +307,7 @@ def test_bulk_route_peak_per_edge():
     ("5 4\n3 4\n0 2\n1 4\n0 1\n", "graph"),
 ])
 def test_canonical_texts_read_alike_by_both_routes(text, outcome):
-    assert edgelist._is_canonical(text)
+    assert CANONICAL.fullmatch(text)
     found = routes_agree(text)
     assert (found if isinstance(found, str) else "graph") == outcome
 
@@ -320,7 +318,7 @@ def test_canonical_texts_read_alike_by_both_routes(text, outcome):
     "3 1\n0 \u0662\n", "3 1\n0 1\n\u2028", " 3 1\n0 1\n"])
 def test_texts_outside_the_canonical_shape_take_the_line_route(text):
     # int() accepts all of these, and a regex \d matches the non-ASCII digit
-    assert not edgelist._is_canonical(text)
+    assert edgelist._parse_bulk(text) is None
     assert isinstance(routes_agree(text), Graph)
 
 
@@ -332,9 +330,18 @@ def test_texts_outside_the_canonical_shape_take_the_line_route(text):
 @example("3 \u0663\n")
 @example("\n")
 @example("")
+@example("3 1\n0 2\n10")
+@example("3 1\n01 2\n")
 def test_canonical_shape_is_lines_of_two_ascii_numbers(text):
-    shape = re.fullmatch(r"(?:[0-9]+ [0-9]+\n)+", text)
-    assert edgelist._is_canonical(text) == (shape is not None)
+    # the bulk route gives a Graph exactly when the text has the canonical
+    # shape, no body number has a leading zero, and the line route reads
+    # it; then it gives the line route's Graph
+    wanted = None
+    body = text.partition("\n")[2]
+    if CANONICAL.fullmatch(text) and not re.search(r"\b0[0-9]", body):
+        by_lines = parse_outcome(edgelist._parse_lines, text)
+        wanted = by_lines if isinstance(by_lines, Graph) else None
+    assert edgelist._parse_bulk(text) == wanted
 
 
 def test_line_route_reads_lines_as_splitlines_does():

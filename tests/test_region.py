@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from matchbound.cli import run_cli
+from matchbound.cli import DEFAULT_BBOX, run_cli
 from matchbound.families import (block_chain, canonical_tree,
                                  regular_gadget_ring, tree_with_gadgets)
 from matchbound.matching import maximum_matching
@@ -194,6 +194,14 @@ def test_region_polygon_bbox_validation():
         region_polygon(4, (F(0), F(1, 4), F(-1, 2), F(1, 2)))  # cuts a corner
     with pytest.raises(ValueError):
         region_polygon(4, (F(1, 4), F(-1, 4), F(-1, 2), F(1, 2)))  # empty
+
+
+def test_the_default_box_holds_every_extreme_point():
+    # so `region --polygon` and `--svg` need no --bbox; the widest gamma is
+    # that of (1/9, 2/9) at k = 3
+    assert extreme_points(3) == [(F(1, 9), F(2, 9))]
+    for k in range(3, 61):
+        assert region_polygon(k, DEFAULT_BBOX)[0] == (F(-1, 4), F(-1, 2)), k
 
 
 def test_polygon_svg_shape():
