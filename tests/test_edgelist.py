@@ -124,14 +124,21 @@ def parse_outcome(parse, text):
         return str(exc)
 
 
+CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
+
 def routes_agree(text):
-    """Both parse routes give the same Graph or the same message."""
+    """Both parse routes give the same Graph or the same message, and the
+    bulk route gives that Graph exactly when the text has the canonical
+    shape, no body number has a leading zero and the line route reads it;
+    on every other text it gives None."""
     by_lines = parse_outcome(edgelist._parse_lines, text)
     assert parse_outcome(parse_edge_list, text) == by_lines
-    # the bulk route accepts only what the line route accepts, and gives
-    # None on everything else
-    bulk = edgelist._parse_bulk(text)
-    assert bulk is None or bulk == by_lines
+    wanted = None
+    body = text.partition("\n")[2]
+    if CANONICAL.fullmatch(text) and not re.search(r"\b0[0-9]", body):
+        wanted = by_lines if isinstance(by_lines, Graph) else None
+    assert edgelist._parse_bulk(text) == wanted
     return by_lines
 
 
@@ -290,9 +297,6 @@ def test_bulk_route_peak_per_edge():
     assert peak / g.edge_count <= 220
 
 
-CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
-
-
 @pytest.mark.parametrize("text, outcome", [
     ("3 2\n01 2\n0 001\n", "graph"),
     ("03 1\n0 2\n", "graph"),
@@ -318,7 +322,7 @@ def test_canonical_texts_read_alike_by_both_routes(text, outcome):
     "3 1\n0 \u0662\n", "3 1\n0 1\n\u2028", " 3 1\n0 1\n"])
 def test_texts_outside_the_canonical_shape_take_the_line_route(text):
     # int() accepts all of these, and a regex \d matches the non-ASCII digit
-    assert edgelist._parse_bulk(text) is None
+    assert not CANONICAL.fullmatch(text)
     assert isinstance(routes_agree(text), Graph)
 
 
@@ -333,15 +337,7 @@ def test_texts_outside_the_canonical_shape_take_the_line_route(text):
 @example("3 1\n0 2\n10")
 @example("3 1\n01 2\n")
 def test_canonical_shape_is_lines_of_two_ascii_numbers(text):
-    # the bulk route gives a Graph exactly when the text has the canonical
-    # shape, no body number has a leading zero, and the line route reads
-    # it; then it gives the line route's Graph
-    wanted = None
-    body = text.partition("\n")[2]
-    if CANONICAL.fullmatch(text) and not re.search(r"\b0[0-9]", body):
-        by_lines = parse_outcome(edgelist._parse_lines, text)
-        wanted = by_lines if isinstance(by_lines, Graph) else None
-    assert edgelist._parse_bulk(text) == wanted
+    routes_agree(text)
 
 
 def test_line_route_reads_lines_as_splitlines_does():

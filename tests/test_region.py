@@ -12,7 +12,7 @@ from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces, polygon_svg,
                                region_polygon)
 
-BBOX = (F(-1, 4), F(1, 4), F(-1, 2), F(1, 2))
+BBOX = DEFAULT_BBOX
 
 
 def envelope(k, gamma):
@@ -173,7 +173,9 @@ def test_region_polygon_k4():
 
 
 def test_region_polygon_properties():
-    for k in (3, 4, 5, 6):
+    # every extreme point lies in the default box, so `region --polygon`
+    # and `--svg` need no --bbox
+    for k in range(3, 61):
         poly = region_polygon(k, BBOX)
         assert poly[0] == (BBOX[0], BBOX[2])  # the lower-left corner
         # counterclockwise by the shoelace sign
@@ -194,14 +196,6 @@ def test_region_polygon_bbox_validation():
         region_polygon(4, (F(0), F(1, 4), F(-1, 2), F(1, 2)))  # cuts a corner
     with pytest.raises(ValueError):
         region_polygon(4, (F(1, 4), F(-1, 4), F(-1, 2), F(1, 2)))  # empty
-
-
-def test_the_default_box_holds_every_extreme_point():
-    # so `region --polygon` and `--svg` need no --bbox; the widest gamma is
-    # that of (1/9, 2/9) at k = 3
-    assert extreme_points(3) == [(F(1, 9), F(2, 9))]
-    for k in range(3, 61):
-        assert region_polygon(k, DEFAULT_BBOX)[0] == (F(-1, 4), F(-1, 2)), k
 
 
 def test_polygon_svg_shape():
