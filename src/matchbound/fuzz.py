@@ -2,7 +2,11 @@
 
 Each trial derives its own 64-bit state from (seed, trial index) with a
 splitmix64-style mixer, so trials are order-independent and a config
-reproduces byte-identically. Graphs are built spanning-tree-first (every
+reproduces byte-identically. A run makes one generator, ``_random.Random``
+(the C base class of ``random.Random``; both seed an int by the same
+``init_by_array``), and reseeds it with each trial's state. From it the
+trial draws its order as ``randint(2, max_n)`` would, then its sample's
+seed as ``getrandbits(64)``. Graphs are built spanning-tree-first (every
 new vertex attaches to an existing one with spare degree, which always
 exists for k >= 2, drawn from a list of those vertices that is kept in
 increasing order as degrees grow), then sprinkled with extra edges
@@ -23,8 +27,8 @@ violation and one with a zero margin a tight hit. It builds no
 
 from __future__ import annotations
 
+import _random
 import json
-import random
 from collections import namedtuple
 from itertools import repeat
 from typing import Callable, NamedTuple
@@ -119,14 +123,17 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
         raise ValueError(
             f"the only connected option on {n} vertices is {k}-regular")
 
-    rng = random.Random(g_seed & _MASK64)
-    bits = rng.getrandbits
+    bits = _random.Random(g_seed & _MASK64).getrandbits
     deg = [0] * n
     keys: set[int] = set()  # u * n + v for each drawn edge, u < v
 
     spare = [0]  # vertices below v with degree < k, in increasing order
     for v in range(1, n):
-        i = _below(bits, len(spare))
+        s = len(spare)  # choice(spare): _below(bits, s), inline
+        w = s.bit_length()
+        i = bits(w)
+        while i >= s:
+            i = bits(w)
         u = spare[i]
         keys.add(u * n + v)
         deg[u] += 1
@@ -137,8 +144,8 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
             spare.append(v)
 
     w = n.bit_length()
-    for _ in range(_below(bits, 2 * n + 1)):
-        u = bits(w)
+    for _ in range(_below(bits, 2 * n + 1)):  # randint(0, 2n)
+        u = bits(w)  # randrange(n): _below(bits, n), inline
         while u >= n:
             u = bits(w)
         v = bits(w)
@@ -168,7 +175,10 @@ def _below(bits: Callable[[int], int], n: int) -> int:
 
     This is CPython's ``Random._randbelow``, through which ``randrange(n)``,
     ``choice(seq)`` and ``randint(a, b)`` all draw, so it takes the same
-    numbers from the stream in one C call each.
+    numbers from the stream in one C call each. ``2 + _below(bits,
+    max_n - 1)`` is a trial's ``randint(2, max_n)``. The sampler draws
+    ``randint(0, 2 * n)`` as ``_below(bits, 2 * n + 1)``, and writes
+    ``choice(spare)`` and ``randrange(n)`` as this loop inline.
     """
     w = n.bit_length()
     r = bits(w)
@@ -190,11 +200,12 @@ def _drop_non_bridge(g: Graph) -> Graph:
 
 def run_fuzz(config: FuzzConfig) -> FuzzOutcome:
     outcome = FuzzOutcome(trials_run=config.trials)
+    rng = _random.Random()
+    reseed, bits = rng.seed, rng.getrandbits
     for trial in range(config.trials):
-        state = _mix(config.seed, trial)
-        rng = random.Random(state)
-        n = rng.randint(2, config.max_n)
-        g = random_connected_bounded(rng.getrandbits(64), n, config.k,
+        reseed(_mix(config.seed, trial))
+        n = 2 + _below(bits, config.max_n - 1)  # randint(2, max_n)
+        g = random_connected_bounded(bits(64), n, config.k,
                                      config.forbid_regular_components)
 
         if components(g).component_count != 1:

@@ -7,6 +7,7 @@ name would otherwise first show up as a failing `bench/run.py --trace 1`.
 
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 import subprocess
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 import matchbound
-from matchbound import edgelist
+from matchbound import edgelist, fuzz
 from matchbound.cli import run_cli
 from matchbound.graphs import build_graph
 
@@ -66,6 +67,13 @@ def test_the_cli_import_loads_every_module_the_benchmark_resolves():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert sorted(wanted - set(done.stdout.split())) == []
+
+
+def test_the_sampler_takes_seed_order_and_degree_first():
+    # bench/tracer.py reads a sample's order as args[1], and oracle-certify
+    # passes all three positionally: a reordering would mismeasure silently
+    params = inspect.signature(fuzz.random_connected_bounded)
+    assert list(params.parameters)[:3] == ["g_seed", "n", "k"]
 
 
 def test_graphs_keep_the_masks_the_benchmark_measures():

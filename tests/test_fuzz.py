@@ -86,6 +86,10 @@ def test_samples_equal_the_library_draw_reference():
                 if forbid and (n, k) == (2, 1):
                     continue
                 cases += [(seed, n, k, forbid) for seed in range(10)]
+    # seeds at the ends of the 64-bit range, and two the sampler masks
+    for g_seed in (0, 2 ** 63, 2 ** 64 - 1, 2 ** 64, -1):
+        cases += [(g_seed, n, 3, forbid) for n in (1, 7, 60)
+                  for forbid in (False, True)]
     for case in cases:
         assert random_connected_bounded(*case) == reference_sample(*case), \
             case
@@ -165,6 +169,29 @@ def test_config_validation():
         with pytest.raises(ValueError,
                            match=rf"0\.\.2\*\*64 - 1, got {seed}$"):
             FuzzConfig(k=3, trials=1, max_n=8, seed=seed)
+
+
+def test_trials_draw_what_the_library_draws(monkeypatch):
+    # each trial's order and sample seed are those of randint(2, max_n) and
+    # the getrandbits(64) after it, on a random.Random seeded with its state
+    drawn = []
+    lone = build_graph(1, [])  # the audit need not see a graph of order n
+
+    def record(g_seed, n, k, forbid_regular=False):
+        drawn.append((g_seed, n))
+        return lone
+
+    monkeypatch.setattr("matchbound.fuzz.random_connected_bounded", record)
+    for max_n in (2, 3, 4, 5, 16, 17, 48, 10 ** 5):
+        for seed in (0, 1, 2 ** 63, 2 ** 64 - 1):
+            drawn.clear()
+            run_fuzz(FuzzConfig(k=3, trials=40, max_n=max_n, seed=seed))
+            expected = []
+            for t in range(40):
+                r = random.Random(_mix(seed, t))
+                n = r.randint(2, max_n)
+                expected.append((r.getrandbits(64), n))
+            assert drawn == expected, (max_n, seed)
 
 
 def test_run_fuzz_small_sweep():
