@@ -62,13 +62,16 @@ class Graph(namedtuple("Graph", "vertex_count adjacency edge_count")):
     @cached_property
     def structure(self) -> Structure:
         """Components and degrees, computed on first use."""
-        return _flood(self.adjacency, [False] * self.vertex_count)
+        sizes, common = _flood(self.adjacency, [False] * self.vertex_count)
+        return Structure(tuple(sizes), tuple(common),
+                         max(map(len, self.adjacency), default=0))
 
 
 def _flood(adjacency: tuple[tuple[int, ...], ...],
-           seen: list[bool]) -> Structure:
-    """The one BFS, over the vertices not yet `seen`. With X marked first, the
-    sizes are those of G - X; the other fields still describe degrees in G."""
+           seen: list[bool]) -> tuple[list[int], list[int | None]]:
+    """The one BFS, over the vertices not yet `seen` (mark X first for
+    G - X): each component's size, and the degree in G its vertices share
+    or None."""
     sizes: list[int] = []
     common: list[int | None] = []
     for start in range(len(seen)):
@@ -86,8 +89,7 @@ def _flood(adjacency: tuple[tuple[int, ...], ...],
                     queue.append(u)
         sizes.append(len(queue))
         common.append(degree)
-    return Structure(tuple(sizes), tuple(common),
-                     max(map(len, adjacency), default=0))
+    return sizes, common
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -208,7 +210,7 @@ def odd_components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
         if not 0 <= v < n:
             raise GraphError(f"vertex {clip_field(v)} out of range for n={n}")
         seen[v] = True
-    return sum(s & 1 for s in _flood(g.adjacency, seen).component_sizes)
+    return sum(s & 1 for s in _flood(g.adjacency, seen)[0])
 
 
 class Regularity(NamedTuple):

@@ -61,8 +61,7 @@ def maximum_matching(g: Graph) -> Matching:
     * A search that fails leaves a Hungarian tree, whose vertices lie on no
       later augmenting path; their union-find entries are set to -1 and the
       scan skips them ever after (Edmonds, "Paths, trees, and flowers", 1965).
-    * A free vertex whose neighbours all lie in such trees is a dead root:
-      its search would stop at once, so it is marked -1 without one.
+      A root with no live neighbour fails with the one-vertex tree {root}.
     * Each search lists the vertices it touches and resets only those.
     * Blossom bases live in a union-find forest (Gabow, JACM 23(2), 1976):
       contracting a blossom links the bases on its two paths to the common
@@ -108,13 +107,6 @@ def maximum_matching(g: Graph) -> Matching:
 
     for root in range(n):
         if match[root] != -1:
-            continue
-        for to in adj[root]:
-            if uf[to] >= 0:
-                break
-        else:
-            # a dead root: every neighbour lies in a failed tree
-            uf[root] = -1
             continue
         in_queue[root] = True
         touched.append(root)

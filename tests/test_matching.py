@@ -225,6 +225,37 @@ def test_failed_trees_are_never_scanned_again(member):
     assert adj.reads <= 2 * g.vertex_count
 
 
+# Adjacency lists maximum_matching read, counted with CountingAdjacency: on
+# the four members of the test above, in its order, and in all on the 2000
+# fuzz samples of the closure-equality test above (seed 50411). A list is read
+# by the greedy start and once per vertex a search dequeues. A search that
+# first scanned each root's list for a live neighbour read 1569, 1752, 1555,
+# 1335 and 95367. A better search may read fewer, so the counts are bounded,
+# not pinned.
+BLOSSOM_READS = (1448, 1502, 1463, 1334, 88055)
+
+
+def test_blossom_search_reads_each_list_once_per_visit():
+    def reads(g):
+        adj = CountingAdjacency(g.adjacency)
+        counted = Graph(g.vertex_count, adj, g.edge_count)
+        assert maximum_matching(counted) == maximum_matching(g)
+        return adj.reads
+
+    members = [block_chain(4, 60), block_chain(4, 250, "singles"),
+               regular_gadget_ring(4, 91),
+               tree_with_gadgets(3, canonical_tree(3, 333, "tree"))]
+    counts = [reads(member.graph) for member in members]
+    rng = random.Random(50411)
+    counts.append(sum(
+        reads(random_connected_bounded(rng.getrandbits(64),
+                                       rng.randint(1, 60), rng.randint(3, 8),
+                                       forbid_regular=i % 2 == 1))
+        for i in range(2000)))
+    assert all(got <= recorded
+               for got, recorded in zip(counts, BLOSSOM_READS)), counts
+
+
 # Adjacency lists the oracle read on each graph of the test below, counted
 # with CountingAdjacency; the sweeps over a dirty list that the worklist flood
 # replaced read the same. A flood that rescans a vertex whose component fills
