@@ -1,12 +1,13 @@
 """Seeded random generation of connected bounded-degree graphs, batch auditing.
 
-Each trial derives its own 64-bit state from (seed, trial index) with a
-splitmix64-style mixer, so trials are order-independent and a config
-reproduces byte-identically. A run makes one generator, ``_random.Random``
-(the C base class of ``random.Random``; both seed an int by the same
-``init_by_array``), and reseeds it with each trial's state. From it the
-trial draws its order as ``randint(2, max_n)`` would, then its sample's
-seed as ``getrandbits(64)``. Graphs are built spanning-tree-first (every
+Trial t of a run reads positions 2t and 2t + 1 of the seed's splitmix64
+stream (:func:`_mix`): its order ``n = 2 + _mix(seed, 2t) % (max_n - 1)``
+and its sample's seed ``_mix(seed, 2t + 1)``. So a trial depends on
+(seed, t) alone, not on the run's length or on other trials, and a config
+reproduces byte-identically. As max_n <= 10^5, the modulo bias of the
+order is below 10^-14. The one generator a trial sets up is its sample's,
+``_random.Random`` (the C base class of ``random.Random``; both seed an int
+by the same ``init_by_array``). Graphs are built spanning-tree-first (every
 new vertex attaches to an existing one with spare degree, which always
 exists for k >= 2, drawn from a list of those vertices that is kept in
 increasing order as degrees grow), then sprinkled with extra edges
@@ -175,8 +176,7 @@ def _below(bits: Callable[[int], int], n: int) -> int:
 
     This is CPython's ``Random._randbelow``, through which ``randrange(n)``,
     ``choice(seq)`` and ``randint(a, b)`` all draw, so it takes the same
-    numbers from the stream in one C call each. ``2 + _below(bits,
-    max_n - 1)`` is a trial's ``randint(2, max_n)``. The sampler draws
+    numbers from the stream in one C call each. The sampler draws
     ``randint(0, 2 * n)`` as ``_below(bits, 2 * n + 1)``, and writes
     ``choice(spare)`` and ``randrange(n)`` as this loop inline.
     """
@@ -200,12 +200,10 @@ def _drop_non_bridge(g: Graph) -> Graph:
 
 def run_fuzz(config: FuzzConfig) -> FuzzOutcome:
     outcome = FuzzOutcome(trials_run=config.trials)
-    rng = _random.Random()
-    reseed, bits = rng.seed, rng.getrandbits
+    seed, span = config.seed, config.max_n - 1
     for trial in range(config.trials):
-        reseed(_mix(config.seed, trial))
-        n = 2 + _below(bits, config.max_n - 1)  # randint(2, max_n)
-        g = random_connected_bounded(bits(64), n, config.k,
+        n = 2 + _mix(seed, 2 * trial) % span
+        g = random_connected_bounded(_mix(seed, 2 * trial + 1), n, config.k,
                                      config.forbid_regular_components)
 
         if components(g).component_count != 1:

@@ -1,12 +1,14 @@
+import _random
 import hashlib
 import json
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchbound import bounds
+from matchbound import bounds, fuzz
 from matchbound.cli import run_cli
 from matchbound.edgelist import emit_edge_list
 from matchbound.fuzz import (MAX_FUZZ_ORDER, FuzzConfig, FuzzOutcome,
@@ -171,27 +173,90 @@ def test_config_validation():
             FuzzConfig(k=3, trials=1, max_n=8, seed=seed)
 
 
-def test_trials_draw_what_the_library_draws(monkeypatch):
-    # each trial's order and sample seed are those of randint(2, max_n) and
-    # the getrandbits(64) after it, on a random.Random seeded with its state
+def splitmix64(state):
+    """The splitmix64 generator of Steele, Lea and Flood (2014), written
+    as a stateful stream: the reference that each trial's draws read."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2 ** 64
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+        yield z ^ (z >> 31)
+
+
+def record_draws(monkeypatch, sample=None):
+    """Record each trial's (g_seed, n) and hand the audit ``sample``'s graph,
+    or a lone vertex, which the audit need not see at order n."""
     drawn = []
-    lone = build_graph(1, [])  # the audit need not see a graph of order n
+    lone = build_graph(1, [])
 
     def record(g_seed, n, k, forbid_regular=False):
         drawn.append((g_seed, n))
-        return lone
+        return sample(g_seed, n, k, forbid_regular) if sample else lone
 
     monkeypatch.setattr("matchbound.fuzz.random_connected_bounded", record)
+    return drawn
+
+
+def test_trials_read_their_order_and_seed_from_the_stream(monkeypatch):
+    # trial t reads positions 2t and 2t + 1 of the seed's splitmix64 stream:
+    # its order from the first, its sample's seed from the second
+    first = splitmix64(0)
+    assert [next(first) for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    drawn = record_draws(monkeypatch)
     for max_n in (2, 3, 4, 5, 16, 17, 48, 10 ** 5):
         for seed in (0, 1, 2 ** 63, 2 ** 64 - 1):
             drawn.clear()
             run_fuzz(FuzzConfig(k=3, trials=40, max_n=max_n, seed=seed))
+            stream = splitmix64(seed)
             expected = []
             for t in range(40):
-                r = random.Random(_mix(seed, t))
-                n = r.randint(2, max_n)
-                expected.append((r.getrandbits(64), n))
+                n = 2 + next(stream) % (max_n - 1)
+                expected.append((next(stream), n))
             assert drawn == expected, (max_n, seed)
+    drawn.clear()
+    run_fuzz(FuzzConfig(k=3, trials=400, max_n=5, seed=9))
+    assert {n for _, n in drawn} == {2, 3, 4, 5}
+
+
+def test_a_trial_sets_up_one_generator(monkeypatch):
+    # a construction and a seed call each set up a Mersenne Twister's whole
+    # state (init_by_array), the largest fixed cost of a small trial
+    set_up = []
+
+    class Counting(_random.Random):
+        def __init__(self, *args):
+            set_up.append(args)
+            super().__init__(*args)
+
+        def seed(self, *args):
+            set_up.append(args)
+            super().seed(*args)
+
+    config = FuzzConfig(k=4, trials=30, max_n=16, seed=12)
+    report = run_fuzz(config).to_json()
+    monkeypatch.setattr(fuzz, "_random", SimpleNamespace(Random=Counting))
+    assert run_fuzz(config).to_json() == report
+    assert len(set_up) == 30
+
+
+def test_trials_do_not_depend_on_the_run_length(monkeypatch):
+    graphs = []
+
+    def sample(*args):
+        graphs.append(random_connected_bounded(*args))
+        return graphs[-1]
+
+    drawn = record_draws(monkeypatch, sample)
+    runs = []
+    for trials in (10, 40):
+        drawn.clear()
+        graphs.clear()
+        run_fuzz(FuzzConfig(k=5, trials=trials, max_n=48, seed=2 ** 64 - 3))
+        runs.append((drawn[:10], graphs[:10]))
+    assert runs[0] == runs[1]
+    assert len(set(runs[0][0])) == 10
 
 
 def test_run_fuzz_small_sweep():
@@ -228,10 +293,11 @@ def test_violations_serialize_with_the_graph():
 
 # SHA-256 of the exit code and stdout of each `fuzz --trials 200` run for
 # k 3..6 x seeds 1/7/42 x max-n 16/48, with and without --allow-regular,
-# recorded while the generator still kept a degree list and a set of edges
-# next to each other.
-GOLDEN_FUZZ = ("c94f54e8fd89b32e2afe67b9b3ac56a2"
-               "df7e65b50a51658d3dca394663dc2579")
+# recorded once each trial read its order and its sample's seed straight
+# from the splitmix64 stream. The sample of a given (g_seed, n) is pinned
+# apart from this by GOLDEN_SAMPLES and GOLDEN_SAMPLES_FULL_RANGE.
+GOLDEN_FUZZ = ("c2d5f9b7f6214f20ef931a09469fca7b"
+               "2922c2cd9ad72ad101112918e2be7b12")
 
 
 def test_fuzz_stdout_matches_the_recorded_digest(capsys):
@@ -249,7 +315,8 @@ def test_fuzz_stdout_matches_the_recorded_digest(capsys):
 
 
 # SHA-256 of the edge lists of 3000 seeded samples, n 1..14, k 2..6, a third
-# of them allowed to stay regular, recorded at the same time as GOLDEN_FUZZ.
+# of them allowed to stay regular, recorded with the first GOLDEN_FUZZ, while
+# the generator still kept a degree list and a set of edges next to each other.
 # The fuzz report alone does not show whether a regular sample was trimmed.
 GOLDEN_SAMPLES = ("60b90d112c6c49316b4afce2f1247463"
                   "67da2648265fe2d3a1c5aa8fd98ba2d1")
@@ -296,6 +363,8 @@ def test_run_fuzz_reports_a_bound_that_exceeds_alpha(monkeypatch, capsys,
 
     def inflated(k):
         rows = real_rows(k)
+        if k != 4:  # k = 3's general row is the subcubic_profile row
+            return rows
         general = rows.general._replace(const=-10 ** 6 * rows.general.scale)
         return rows._replace(general=general)
 
@@ -304,9 +373,8 @@ def test_run_fuzz_reports_a_bound_that_exceeds_alpha(monkeypatch, capsys,
     outcome = run_fuzz(config)
     expected = []
     for trial in range(3):
-        rng = random.Random(_mix(31, trial))
-        n = rng.randint(2, 12)
-        g = random_connected_bounded(rng.getrandbits(64), n, 4, True)
+        n = 2 + _mix(31, 2 * trial) % 11
+        g = random_connected_bounded(_mix(31, 2 * trial + 1), n, 4, True)
         expected.append(FuzzViolation(31, trial, g, "general"))
     assert outcome.violations == expected
 
