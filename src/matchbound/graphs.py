@@ -3,7 +3,10 @@
 Graphs are immutable after construction: dense 0-based vertex ids and sorted
 adjacency tuples, O(n + m) in all. The structural queries walk a graph only
 by one BFS, which builds the cached :class:`Structure` that components,
-degrees and regularity are read from, and floods G - X in place.
+degrees and regularity are read from, and floods G - X in place. The
+tuples every graph gets, its adjacency and its structure, are made from
+lists at their final size, so a run of many small graphs leaves CPython's
+tuple free lists as it found them.
 """
 
 from __future__ import annotations
@@ -13,15 +16,15 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 # Largest order an input or a generator may ask for: building a graph peaks
-# at about 73 bytes per vertex even without edges (tracemalloc, n = 10^6),
+# at about 64 bytes per vertex even without edges (tracemalloc, n = 10^6),
 # so this caps the vertices of one graph at about 0.7 GB.
 MAX_VERTICES = 10 ** 7
 # Largest size an input or a generator may ask for. Beyond its vertices,
-# build_graph peaks at 40-100 bytes per edge, a whole generated member at
-# 170-300, an edge list read in bulk at 105-160 and one read line by line at
-# 160-220 (tracemalloc, m/n 1 to 20; the generator's own edge list and the
-# parser's integers included, the text not), so this caps one graph at
-# about 3.7 GB with MAX_VERTICES.
+# build_graph peaks at 26-37 bytes per edge, a whole generated member at
+# 169-308, an edge list read in bulk at 96-170 and one read line by line at
+# 149-223 (tracemalloc, m/n 1 to 20, the most at m/n = 1; the generator's
+# own edge list and the parser's integers included, the text not), so this
+# caps one graph at about 3.7 GB with MAX_VERTICES.
 MAX_EDGES = 10 ** 7
 
 
@@ -139,7 +142,14 @@ def assemble_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph | None:
             nbrs.sort()
         if sum(map(len, map(set, adj))) != ends:
             return None
-    return Graph(n, tuple(map(tuple, adj)), ends // 2)
+    # Each list becomes its tuple in place, so it is freed at once (a bulk
+    # read peaks at 124 rather than 166 bytes per edge), and the outer tuple
+    # is made from a list at its final size: CPython keeps up to 2000 freed
+    # tuples per size up to 20, and one grown from an iterator is taken from
+    # the size-10 list but freed onto its own size's, one more per graph.
+    for v, nbrs in enumerate(adj):
+        adj[v] = tuple(nbrs)
+    return Graph(n, tuple(adj), ends // 2)
 
 
 def _first_defect(n: int, pairs: list[tuple[int, int]]) -> GraphError:

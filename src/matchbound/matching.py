@@ -196,7 +196,10 @@ def maximum_matching(g: Graph) -> Matching:
             in_queue[u] = False
         touched.clear()
 
-    edges = tuple((v, match[v]) for v in range(n) if v < match[v])
+    # a list, not a generator: CPython keeps up to 2000 freed tuples per
+    # size up to 20, and a tuple grown from an iterator is taken from the
+    # size-10 list but freed onto its own size's, one more per call
+    edges = tuple([(v, match[v]) for v in range(n) if v < match[v]])
     return Matching(edges)
 
 
@@ -266,7 +269,9 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
     full, member, base = _planes(low)
     best: tuple[int, tuple[int, ...]] | None = None
     for high in range(1 << (n - low)):
-        fixed = tuple(v for v in range(low, n) if high >> (v - low) & 1)
+        # a list, as for Matching.edges: each block's tuple then goes back
+        # to the free list it came from
+        fixed = tuple([v for v in range(low, n) if high >> (v - low) & 1])
         # fresh complements, not cached ones: those were no faster at n = 16
         # and up to 2 % slower at n = 22 (2-vCPU Xeon)
         rem = [full ^ plane for plane in member]

@@ -267,7 +267,7 @@ def test_lines_past_the_promised_count_are_counted_not_kept():
 
 def test_line_route_peak_per_edge():
     # a gkr k=4 member with a comment on every line, read line by line;
-    # the bulk read of the plain file peaks at about 158 bytes per edge
+    # the bulk read of the plain file peaks at about 124 bytes per edge
     plain = emit_edge_list(block_chain(4, 1250).graph)
     text = plain.replace("\n", " # c\n")
     assert edgelist._parse_bulk(text) is None
@@ -278,7 +278,7 @@ def test_line_route_peak_per_edge():
     finally:
         tracemalloc.stop()
     assert emit_edge_list(g) == plain
-    # 216 on this file; a kept row per edge took 393, with its split
+    # 174 on this file; a kept row per edge took 393, with its split
     # fields 593
     assert peak / g.edge_count < 450
 
@@ -293,7 +293,8 @@ def test_bulk_route_peak_per_edge():
     finally:
         tracemalloc.stop()
     assert g == edgelist._parse_lines(text)
-    # 166 on this file; a split into strings and a tuple per edge took 267
+    # 124 on this file; holding every list and its tuple at once took 166,
+    # and a split into strings and a tuple per edge 267
     assert peak / g.edge_count <= 220
 
 

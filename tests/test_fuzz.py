@@ -1,4 +1,5 @@
 import _random
+import gc
 import hashlib
 import json
 import random
@@ -10,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from matchbound import bounds, fuzz
 from matchbound.cli import run_cli
-from matchbound.edgelist import emit_edge_list
+from matchbound.edgelist import emit_edge_list, parse_edge_list
 from matchbound.fuzz import (MAX_FUZZ_ORDER, FuzzConfig, FuzzOutcome,
                              FuzzViolation, _below, _drop_non_bridge, _mix,
                              random_connected_bounded, run_fuzz)
 from matchbound.graphs import (build_graph, components, degree_profile,
                                is_k_regular)
+from matchbound.matching import maximum_matching
 
 
 def test_mix_spreads_streams():
@@ -415,3 +417,37 @@ def test_a_sweep_builds_no_fraction(monkeypatch):
     # the patch is the one a printed value goes through
     with pytest.raises(AssertionError, match="built"):
         report.entries[0].value
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="counts blocks of CPython's allocator")
+@pytest.mark.parametrize("path", ["fuzz", "parse-and-match"])
+def test_small_graphs_leave_no_tuples_on_the_free_lists(path):
+    # CPython keeps up to 2000 freed tuples of each size up to 20. A tuple
+    # grown from an iterator of unknown length is taken from the size-10
+    # list and freed onto its own size's, so a tuple built that way once per
+    # graph would leave one more block allocated per graph until the lists
+    # fill: about 9900 over this fuzz run. A full collection empties them.
+    if path == "fuzz":
+        def run():
+            run_fuzz(FuzzConfig(k=4, trials=5000, max_n=16, seed=5))
+    else:
+        # what oracle-certify does to small seeded graphs, emitted as files
+        texts = [emit_edge_list(random_connected_bounded(s, 10 + s % 7,
+                                                         3 + s % 4))
+                 for s in range(3000)]
+
+        def run():
+            for text in texts:
+                maximum_matching(parse_edge_list(text))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        run()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert grown < 1000, f"{grown} more blocks allocated"
