@@ -7,10 +7,16 @@ There are two coefficient families for graphs of maximum degree at most k:
 * the *density* pair for even k with ``alpha' >= b*m - a*n`` under the same
   hypothesis (k*b - a = 1), stronger on dense graphs.
 
-For connected graphs the additive constants improve, with exceptional
-constants for k-regular graphs of a few small orders. Every bound assumes
+For connected graphs the additive constants improve. Every bound assumes
 maximum degree at most k, so a graph is k-regular exactly when 2m = kn,
 and regularity is read from that identity rather than passed in.
+
+On a k-regular graph each bound is capped at floor(n/2), which bounds
+alpha' for every graph. This one rule gives the paper's exceptional
+constants: for even k the cap binds exactly at the odd n below
+(k+2)(k-1)/(k-2) for ``connected_even`` and below (k^2+k+2)/(k-2) for
+``connected_even_density`` (k = 4: n = 5, 7 and n = 5, 7, 9), and it
+never binds for odd k or for ``connected_even_weak``.
 
 The coefficients are written once, as Fractions, in
 :func:`general_coefficients` and :func:`density_coefficients`. Every bound
@@ -78,9 +84,9 @@ def density_coefficients(k: int) -> CoefficientSet:
 class BoundRow(NamedTuple):
     """One bound at one k, scaled to integers by its least denominator.
 
-    ``scale * bound = n_coeff*n + m_coeff*m - c_coeff*c - const``, except
-    that a k-regular graph whose order is listed in ``regular_consts``
-    subtracts the constant paired with it (the paper's exceptional orders).
+    ``scale * bound = n_coeff*n + m_coeff*m - c_coeff*c - const``, capped
+    at ``scale * (n // 2)`` on a k-regular graph: the paper's exceptional
+    orders are those where the cap binds (see the module docstring).
     """
     name: str
     scale: int
@@ -88,27 +94,21 @@ class BoundRow(NamedTuple):
     m_coeff: int
     c_coeff: int
     const: int
-    regular_consts: tuple[tuple[int, int], ...] = ()
 
     def numerator(self, n: int, m: int, c: int, regular: bool) -> int:
-        const = self.const
-        if regular:
-            const = dict(self.regular_consts).get(n, const)
-        return self.n_coeff * n + self.m_coeff * m - self.c_coeff * c - const
+        value = (self.n_coeff * n + self.m_coeff * m - self.c_coeff * c
+                 - self.const)
+        return min(value, self.scale * (n // 2)) if regular else value
 
 
 def _row(name: str, n_coeff: Fraction, m_coeff: Fraction,
-         c_coeff: Fraction = Fraction(0), const: Fraction = Fraction(0),
-         regular: dict[int, Fraction] | None = None) -> BoundRow:
+         c_coeff: Fraction = Fraction(0),
+         const: Fraction = Fraction(0)) -> BoundRow:
     """Scale the rational bound ``n_coeff*n + m_coeff*m - c_coeff*c - const``
-    (with ``regular`` mapping an order to its exceptional constant) by the
-    least common denominator of all its values."""
-    regular = regular or {}
-    values = (n_coeff, m_coeff, c_coeff, const, *regular.values())
+    by the least common denominator of its coefficients."""
+    values = (n_coeff, m_coeff, c_coeff, const)
     scale = lcm(*(Fraction(v).denominator for v in values))
-    n_, m_, c_, const_, *alt = (int(v * scale) for v in values)
-    return BoundRow(name, scale, n_, m_, c_, const_,
-                    tuple(zip(regular, alt)))
+    return BoundRow(name, scale, *(int(v * scale) for v in values))
 
 
 class BoundRows(NamedTuple):
@@ -132,21 +132,15 @@ def bound_rows(k: int) -> BoundRows:
         connected = (_row("connected_odd", cs.a, cs.b, const=cs.a),)
     else:
         ds = density_coefficients(k)
-        den = k * k + k + 2
-        dense = {k + 1: Fraction(k + 2, den), k + 3: Fraction(4, den)}
-        if k == 4:
-            dense[9] = Fraction(2, den)
         density = _row("density", -ds.a, ds.b)
         connected = (
-            _row("connected_even", cs.a, cs.b, const=Fraction(1, k * (k + 1)),
-                 regular={k + 1: Fraction(1, k),
-                          k + 3: Fraction(3, k * (k + 1))}),
+            _row("connected_even", cs.a, cs.b, const=Fraction(1, k * (k + 1))),
             _row("connected_even_weak", cs.a, cs.b, const=Fraction(1, k)),
-            _row("connected_even_density", -ds.a, ds.b, regular=dense),
+            _row("connected_even_density", -ds.a, ds.b),
         )
     # The regular reference: 2*D*bound of the last connected row (scale D)
-    # at c = 1 and m = k*n/2, its regular exceptions left out, and for even
-    # k the (n-1)/2 cap on the same scale.
+    # at c = 1 and m = k*n/2, uncapped, and for even k the (n-1)/2 cap on
+    # the same scale.
     last = connected[-1]
     scale = 2 * last.scale
     reference = (BoundRow("regular_reference", scale,
@@ -162,10 +156,10 @@ def connected_lower_bounds(n: int, m: int, k: int
                            ) -> list[tuple[str, Fraction]]:
     """The improved bounds for a connected graph, as (name, value) pairs.
 
-    A k-regular graph (2m = kn) of one of a handful of small orders gets
-    weaker additive constants. Odd k yields one bound, even k three (the
-    strong constant, the weak constant that needs no exceptions, and the
-    density form).
+    On a k-regular graph (2m = kn) each is capped at floor(n/2), which
+    weakens the strong and density bounds at a handful of small odd
+    orders. Odd k yields one bound, even k three (the strong constant, the
+    weak constant that the cap never touches, and the density form).
     """
     regular = 2 * m == n * k
     return [(row.name, Fraction(row.numerator(n, m, 1, regular), row.scale))

@@ -111,6 +111,38 @@ def test_connected_bounds_regular_exceptions():
     assert out9["connected_even_density"] == F(54 - 9, 11) - F(2, 22)
 
 
+def test_the_floor_cap_binds_at_exactly_the_exceptional_orders():
+    # The cap at floor(n/2) on a k-regular graph replaces the paper's
+    # exceptional constants; for even k it binds at the odd n below a
+    # threshold per row, and never for odd k or the weak row.
+    for k in range(3, 41):
+        thresholds = {}
+        if k % 2 == 0:
+            thresholds = {
+                "connected_even": F((k + 2) * (k - 1), k - 2),
+                "connected_even_density": F(k * k + k + 2, k - 2)}
+        binding = {name: [] for name in thresholds}
+        for n in range(k + 1, 8 * k):
+            if k * n % 2:
+                continue
+            m = k * n // 2
+            for row in bound_rows(k).connected:
+                cap = row.scale * (n // 2)
+                binds = (row.name in thresholds and n % 2 == 1
+                         and n < thresholds[row.name])
+                assert (row.numerator(n, m, 1, False) > cap) == binds, (
+                    k, n, row.name)
+                if binds:
+                    assert row.numerator(n, m, 1, True) == (
+                        row.scale * (n - 1) // 2)
+                    binding[row.name].append(n)
+        if k % 2 == 0:
+            # the paper's exceptional orders
+            assert binding["connected_even"] == [k + 1, k + 3]
+            assert binding["connected_even_density"] == (
+                [5, 7, 9] if k == 4 else [k + 1, k + 3])
+
+
 def test_kregular_reference_bound():
     def reference(g, k):
         return audit_graph(g, k).entry("regular_reference").value
@@ -374,7 +406,7 @@ def verdict_graphs(k):
 
 def test_integer_verdicts_match_a_fraction_reference():
     regular_orders = set()
-    for k in range(3, 9):
+    for k in range(3, 13):
         for g in verdict_graphs(k):
             alpha = maximum_matching(g).size
             expected = reference_bounds(g, k)
@@ -393,8 +425,8 @@ def test_integer_verdicts_match_a_fraction_reference():
                     assert (margin < 0) == (slack < 0)
             if "regular_reference" in got:
                 regular_orders.add((k, g.vertex_count))
-    assert {(k, k + 1) for k in range(3, 9)} <= regular_orders
-    assert {(k, k + 3) for k in range(3, 9)} <= regular_orders
+    assert {(k, k + 1) for k in range(3, 13)} <= regular_orders
+    assert {(k, k + 3) for k in range(3, 13)} <= regular_orders
     assert (4, 9) in regular_orders
 
 
