@@ -10,11 +10,11 @@ numbers one space apart, each ended by a newline, as every emitted text
 is, is read in bulk: the header checks, one C scan of the body into a
 flat list of integers (``json.loads`` once the separators are commas),
 one u < v check over its two interleaved columns, then
-`graphs.assemble_graph`, the loop that builds every graph and checks ids
-and repeats. No tuple or string is made per edge. The bulk read only
-accepts: any other text, one with an empty number or a leading zero
-(which JSON refuses), and one with a fault of any kind, is parsed line
-by line, which names the faulty line.
+`graphs.assemble_graph`, the loop that buckets pairs into adjacency lists
+and checks ids and repeats. No tuple or string is made per edge. The bulk
+read only accepts: any other text, one with an empty number or a leading
+zero (which JSON refuses), and one with a fault of any kind, is parsed
+line by line, which names the faulty line.
 """
 
 from __future__ import annotations

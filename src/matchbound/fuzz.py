@@ -7,11 +7,14 @@ and its sample's seed ``_mix(seed, 2t + 1)``. So a trial depends on
 reproduces byte-identically. As max_n <= 10^5, the modulo bias of the
 order is below 10^-14. The one generator a trial sets up is its sample's,
 ``_random.Random`` (the C base class of ``random.Random``; both seed an int
-by the same ``init_by_array``). Graphs are built spanning-tree-first (every
-new vertex attaches to an existing one with spare degree, which always
-exists for k >= 2, drawn from a list of those vertices that is kept in
-increasing order as degrees grow), then sprinkled with extra edges
-rejected at the degree cap or as duplicates. Each draw calls the
+by the same ``init_by_array``). Graphs are built spanning-tree-first
+(every new vertex attaches to an existing one with spare degree, which
+always exists for k >= 2, drawn from a list of those vertices that is kept
+in increasing order as degrees grow), then sprinkled with extra edges
+rejected as loops, at the degree cap or as duplicates. A sample is kept as
+drawn, one list of neighbours per vertex (a degree is a list's length, a
+duplicate is found in it), and :func:`matchbound.graphs.freeze` takes the
+sorted lists with no second pass over the edges. Each draw calls the
 generator's ``getrandbits`` in the rejection loop of ``randrange``, so a
 sample takes the same numbers from the same stream as the library's
 ``choice``, ``randrange`` and ``randint`` would. With forbid_regular set,
@@ -31,16 +34,16 @@ from __future__ import annotations
 import _random
 import json
 from collections import namedtuple
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 from matchbound.bounds import audit_graph
 from matchbound.edgelist import emit_edge_list
-from matchbound.graphs import Graph, build_graph, clip_field, components
+from matchbound.graphs import (Graph, build_graph, clip_field, components,
+                               freeze)
 
 _MASK64 = (1 << 64) - 1
 # Largest order a fuzz sample may have. At n = 10^5 (seed 777) one sample
-# takes 0.8-1.0 s at k = 3..10 and peaks at 427 (k = 3) to 647 (k = 7) bytes
+# takes 0.2-0.46 s at k = 3..10 and peaks at 151 (k = 3) to 213 (k = 7) bytes
 # per vertex, while matching it and evaluating its bounds takes 2.8-3.6 s at
 # k = 3..5 and 5.2-6.5 s at k = 6..10 (tracemalloc; 2-vCPU Xeon, Python
 # 3.11), so the limit is held by the matching, not by the sampler.
@@ -125,8 +128,7 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
             f"the only connected option on {n} vertices is {k}-regular")
 
     bits = _random.Random(g_seed & _MASK64).getrandbits
-    deg = [0] * n
-    keys: set[int] = set()  # u * n + v for each drawn edge, u < v
+    adj: list[list[int]] = [[] for _ in range(n)]  # neighbours, as drawn
 
     spare = [0]  # vertices below v with degree < k, in increasing order
     for v in range(1, n):
@@ -136,10 +138,9 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
         while i >= s:
             i = bits(w)
         u = spare[i]
-        keys.add(u * n + v)
-        deg[u] += 1
-        deg[v] = 1
-        if deg[u] == k:
+        adj[u].append(v)
+        adj[v].append(u)
+        if len(adj[u]) == k:
             del spare[i]
         if k > 1:  # v has spare degree
             spare.append(v)
@@ -152,20 +153,14 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
         v = bits(w)
         while v >= n:
             v = bits(w)
-        if u == v or deg[u] >= k or deg[v] >= k:
+        if u == v or len(adj[u]) >= k or len(adj[v]) >= k or v in adj[u]:
             continue
-        key = u * n + v if u < v else v * n + u
-        if key in keys:
-            continue
-        keys.add(key)
-        deg[u] += 1
-        deg[v] += 1
+        adj[u].append(v)
+        adj[v].append(u)
 
-    # sorted keys are the pairs in lexicographic order; with the set dropped
-    # and the pairs decoded lazily, only build_graph's list holds tuples
-    order = sorted(keys)
-    del keys
-    g = build_graph(n, map(divmod, order, repeat(n)))
+    for nbrs in adj:
+        nbrs.sort()
+    g = freeze(adj)
     if forbid_regular and 2 * g.edge_count == n * k:
         g = _drop_non_bridge(g)
     return g

@@ -112,8 +112,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def assemble_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph | None:
     """The graph of `pairs`, or None if a pair has an id outside 0..n-1, is a
-    loop or repeats another pair in either orientation. Every Graph is built
-    here.
+    loop or repeats another pair in either orientation.
 
     One bucket step: each pair is appended to the lists of both ends. Pairs
     in lexicographic order with u < v, as every edge list is emitted, leave
@@ -136,20 +135,26 @@ def assemble_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph | None:
             high.append(u)
     except IndexError:
         return None
-    ends = sum(map(len, adj))
     if not ordered:
         for nbrs in adj:
             nbrs.sort()
-        if sum(map(len, map(set, adj))) != ends:
+        if sum(map(len, map(set, adj))) != sum(map(len, adj)):
             return None
-    # Each list becomes its tuple in place, so it is freed at once (a bulk
-    # read peaks at 124 rather than 166 bytes per edge), and the outer tuple
-    # is made from a list at its final size: CPython keeps up to 2000 freed
-    # tuples per size up to 20, and one grown from an iterator is taken from
-    # the size-10 list but freed onto its own size's, one more per graph.
+    return freeze(adj)
+
+
+def freeze(adj: list[list[int]]) -> Graph:
+    """The Graph of `adj`, each vertex's sorted neighbours, which it
+    consumes: every Graph's tuples are made here. Each list becomes its
+    tuple in place, so it is freed at once (a bulk read peaks at 124 rather
+    than 166 bytes per edge), and the outer tuple is made from a list at its
+    final size: CPython keeps up to 2000 freed tuples per size up to 20, and
+    one grown from an iterator is taken from the size-10 list but freed onto
+    its own size's, one more per graph.
+    """
     for v, nbrs in enumerate(adj):
         adj[v] = tuple(nbrs)
-    return Graph(n, tuple(adj), ends // 2)
+    return Graph(len(adj), tuple(adj), sum(map(len, adj)) // 2)
 
 
 def _first_defect(n: int, pairs: list[tuple[int, int]]) -> GraphError:

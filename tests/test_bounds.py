@@ -196,6 +196,8 @@ def test_entries_store_each_fact_once():
     # neither applicable nor tight nor violated
     assert skipped.margin(report.alpha) is None
     assert skipped not in report.violations
+    with pytest.raises(KeyError):
+        report.entry("nope")
 
 
 def test_audit_on_connected_cubic_graph():

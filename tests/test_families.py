@@ -30,6 +30,8 @@ def test_complete_minus_edge():
     assert not g.has_edge(0, 1)
     assert g.degree(0) == 3 and g.degree(2) == 4
     assert alpha(g) == 2 == gg.predicted_alpha
+    with pytest.raises(ValueError, match="complete_minus_edge needs k >= 2"):
+        complete_minus_edge(1)
 
 
 def test_single_link_gadget_structure():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -106,6 +107,9 @@ def test_sample_postconditions(seed, n, k):
     assert g.vertex_count == n
     assert components(g).component_count == 1
     assert degree_profile(g).max_degree <= k
+    # the sample is frozen without a second look: it must be exactly what
+    # the validating constructor makes of its edges
+    assert build_graph(n, g.edges()) == g
 
 
 def test_samples_are_reproducible():
@@ -150,6 +154,8 @@ def test_infeasible_requests():
         random_connected_bounded(1, 2, 1, forbid_regular=True)  # only K2
     with pytest.raises(ValueError):
         random_connected_bounded(1, 0, 3)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        random_connected_bounded(0, 5, 0)
     # fine: a lone vertex, and K2 when regularity is allowed
     assert random_connected_bounded(1, 1, 3).vertex_count == 1
     assert random_connected_bounded(1, 2, 1).edge_count == 1
@@ -451,3 +457,20 @@ def test_small_graphs_leave_no_tuples_on_the_free_lists(path):
         if enabled:
             gc.enable()
     assert grown < 1000, f"{grown} more blocks allocated"
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="reads CPython's tracemalloc")
+@pytest.mark.parametrize("k", [3, 10])
+def test_a_sample_peaks_below_60_bytes_per_adjacency_slot(k):
+    # graph memory O(n + m): one list per vertex, frozen in place, peaks at
+    # about 41 bytes per slot of the adjacency (n + 2m); a degree list, an
+    # encoded edge set and its decoded pairs next to it peaked at about 96
+    tracemalloc.start()
+    try:
+        g = random_connected_bounded(777, 10 ** 4, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots = g.vertex_count + 2 * g.edge_count
+    assert peak / slots < 60, f"{peak / slots:.1f} bytes per slot"

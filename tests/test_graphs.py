@@ -12,6 +12,8 @@ def test_build_rejects_out_of_range():
         build_graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         build_graph(2, [(-1, 0)])
+    with pytest.raises(GraphError, match="vertex count must be non-negative"):
+        build_graph(-1, [])
     # 5001 digits, past str()'s 4300-digit limit on Python 3.11 and later:
     # the message quotes 40 characters of each end without printing it whole
     for u, shown in ((10 ** 5000, "1" + "0" * 39),
@@ -106,6 +108,8 @@ def test_regularity_per_component():
     assert not reg.overall
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert is_k_regular(c4, 2).overall
+    with pytest.raises(GraphError, match="degree must be non-negative"):
+        is_k_regular(c4, -1)
 
 
 @st.composite
