@@ -192,7 +192,7 @@ def _construct_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return parse_edge_list(f.read())
 
 

@@ -142,8 +142,7 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
         adj[v].append(u)
         if len(adj[u]) == k:
             del spare[i]
-        if k > 1:  # v has spare degree
-            spare.append(v)
+        spare.append(v)
 
     w = n.bit_length()
     for _ in range(_below(bits, 2 * n + 1)):  # randint(0, 2n)

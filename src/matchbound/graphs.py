@@ -17,7 +17,8 @@ from typing import Iterable, NamedTuple
 
 # Largest order an input or a generator may ask for: building a graph peaks
 # at about 64 bytes per vertex even without edges (tracemalloc, n = 10^6),
-# so this caps the vertices of one graph at about 0.7 GB.
+# and so does refusing one, so this caps the vertices of one graph at about
+# 0.7 GB either way.
 MAX_VERTICES = 10 ** 7
 # Largest size an input or a generator may ask for. Beyond its vertices,
 # build_graph peaks at 26-37 bytes per edge, a whole generated member at
@@ -100,14 +101,27 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Rejects loops, duplicate pairs (in either orientation) and out-of-range
     ids, naming the first offending pair in input order and its position.
+    Only a refused list is read a second time, to name its fault, with the
+    pairs read so far kept in one set, so a refusal builds no structure per
+    vertex beyond `assemble_graph`'s lists.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
     pairs = list(edges)
     g = assemble_graph(n, pairs)
-    if g is None:
-        raise _first_defect(n, pairs)
-    return g
+    if g is not None:
+        return g
+    seen: set[tuple[int, int]] = set()
+    for i, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({clip_field(u)}, {clip_field(v)}) out "
+                             f"of range for n={n}", i)
+        if u == v:
+            raise GraphError(f"loop edge ({u}, {v}) not allowed", i)
+        if (u, v) in seen or (v, u) in seen:
+            raise GraphError(f"duplicate edge ({u}, {v})", i)
+        seen.add((u, v))
+    raise AssertionError("no defective pair")
 
 
 def assemble_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph | None:
@@ -155,22 +169,6 @@ def freeze(adj: list[list[int]]) -> Graph:
     for v, nbrs in enumerate(adj):
         adj[v] = tuple(nbrs)
     return Graph(len(adj), tuple(adj), sum(map(len, adj)) // 2)
-
-
-def _first_defect(n: int, pairs: list[tuple[int, int]]) -> GraphError:
-    """The GraphError of the first defective pair; `pairs` has one."""
-    seen: list[set[int]] = [set() for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
-        if not (0 <= u < n and 0 <= v < n):
-            return GraphError(f"edge ({clip_field(u)}, {clip_field(v)}) out "
-                              f"of range for n={n}", i)
-        if u == v:
-            return GraphError(f"loop edge ({u}, {v}) not allowed", i)
-        if v in seen[u]:
-            return GraphError(f"duplicate edge ({u}, {v})", i)
-        seen[u].add(v)
-        seen[v].add(u)
-    raise AssertionError("no defective pair")
 
 
 def clip_field(field: str | int) -> str:

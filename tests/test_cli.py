@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -700,3 +701,37 @@ def test_one_parser_serves_every_command_in_a_process(
     assert cli._build_parser() is cli._build_parser()
     assert [invoke(capsys, *argv) for argv in commands] == fresh
     assert [invoke(capsys, *argv) for argv in commands[::-1]] == fresh[::-1]
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # int() reads the Arabic-Indic digit two; under the C locale without
+    # UTF-8 mode the locale's codec would be ASCII and refuse the file
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("LC_", "LANG", "PYTHON"))}
+    env.update(LC_ALL="C", PYTHONPATH=src)
+    graph = tmp_path / "g.el"
+    graph.write_bytes("3 1\n0 ٢\n".encode("utf-8"))
+    tree = tmp_path / "t.el"
+    tree.write_bytes("٢ 1\n0 1\n".encode("utf-8"))
+    broken = tmp_path / "b.el"
+    broken.write_bytes(b"3 1\n0 \xff\n")
+
+    def run(mode, *argv):
+        done = subprocess.run(
+            [sys.executable, "-X", f"utf8={mode}", "-m", "matchbound.cli",
+             *argv], env=env, capture_output=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    for argv, out in (
+            (["matching", str(graph)], b'{"alpha":1,"witness":[[0,2]]}\n'),
+            (["construct", "hkr", "--k", "3", "--tree", str(tree)], None)):
+        ascii_run = run(0, *argv)
+        assert ascii_run == run(1, *argv)
+        assert ascii_run[0] == 0 and ascii_run[2] == b""
+        assert out is None or ascii_run[1] == out
+    # a byte no UTF-8 text holds is refused alike in both modes
+    ascii_run = run(0, "matching", str(broken))
+    assert ascii_run == run(1, "matching", str(broken))
+    assert ascii_run[0] == 2 and ascii_run[1] == b""
+    assert ascii_run[2].startswith(b"error: 'utf-8' codec can't decode")
