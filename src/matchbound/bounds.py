@@ -52,13 +52,11 @@ class CoefficientSet(NamedTuple):
     b: Fraction
 
 
-@lru_cache(maxsize=None)
 def general_coefficients(k: int) -> CoefficientSet:
     """The (a, b) pair of the component-penalized bound a*(n-c) + b*m.
 
     Defined through epsilon = 2a: a = epsilon/2 and
-    b = (2 - k*epsilon)/(2k), so a + b = 1/k always holds. Computed once
-    per k; the frozen result is shared.
+    b = (2 - k*epsilon)/(2k), so a + b = 1/k always holds.
     """
     if k < 3:
         raise ValueError(f"general coefficients need k >= 3, got {k}")
@@ -69,12 +67,8 @@ def general_coefficients(k: int) -> CoefficientSet:
     return CoefficientSet(eps / 2, Fraction(2 - k * eps, 2 * k))
 
 
-@lru_cache(maxsize=None)
 def density_coefficients(k: int) -> CoefficientSet:
-    """The even-k pair (a, b) of the density bound b*m - a*n (k*b - a = 1).
-
-    Computed once per k; the frozen result is shared.
-    """
+    """The even-k pair (a, b) of the density bound b*m - a*n (k*b - a = 1)."""
     if k < 2 or k % 2:
         raise ValueError(f"density coefficients need even k >= 2, got {k}")
     den = k * k + k + 2

@@ -192,7 +192,8 @@ def _construct_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as f:
+    # utf-8-sig drops a leading byte-order mark, which Windows tools write
+    with open(path, encoding="utf-8-sig") as f:
         return parse_edge_list(f.read())
 
 
@@ -376,7 +377,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                         seed=args.seed,
                         forbid_regular_components=not args.allow_regular)
     outcome = run_fuzz(config)
-    sys.stdout.write(outcome.to_json())
+    violations = [v._replace(graph=emit_edge_list(v.graph))._asdict()
+                  for v in outcome.violations]
+    payload = outcome._replace(violations=violations)._asdict()
+    print(json.dumps(payload, sort_keys=True, indent=2))
     return 1 if outcome.violations else 0
 
 

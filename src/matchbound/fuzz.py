@@ -26,18 +26,18 @@ exists.
 A trial is one :func:`matchbound.bounds.audit_graph` call, the same audit
 that ``matchbound audit`` prints: a bound with a negative margin is a
 violation and one with a zero margin a tight hit. It builds no
-``Fraction``, which only printed audit entries need.
+``Fraction``, which only printed audit entries need. :func:`run_fuzz`
+returns its findings as a plain :class:`FuzzOutcome` record, which
+:mod:`matchbound.cli` writes as JSON.
 """
 
 from __future__ import annotations
 
 import _random
-import json
 from collections import namedtuple
 from typing import Callable, NamedTuple
 
 from matchbound.bounds import audit_graph
-from matchbound.edgelist import emit_edge_list
 from matchbound.graphs import (Graph, build_graph, clip_field, components,
                                freeze)
 
@@ -86,27 +86,13 @@ class FuzzViolation(NamedTuple):
     bound: str
 
 
-class FuzzOutcome:
-    def __init__(self, trials_run: int) -> None:
-        self.trials_run = trials_run
-        self.violations: list[FuzzViolation] = []
-        self.tight_hits: dict[str, int] = {}
-
-    def to_json(self) -> str:
-        payload = {
-            "trials_run": self.trials_run,
-            "violations": [
-                {
-                    "seed": v.seed,
-                    "trial": v.trial,
-                    "graph": emit_edge_list(v.graph),
-                    "bound": v.bound,
-                }
-                for v in self.violations
-            ],
-            "tight_hits": self.tight_hits,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+class FuzzOutcome(NamedTuple):
+    """What a run found: ``trials_run``, the trial count; ``violations``,
+    one :class:`FuzzViolation` per negative margin, in trial order; and
+    ``tight_hits``, the number of zero margins per bound name."""
+    trials_run: int
+    violations: list[FuzzViolation]
+    tight_hits: dict[str, int]
 
 
 def random_connected_bounded(g_seed: int, n: int, k: int,
@@ -193,7 +179,8 @@ def _drop_non_bridge(g: Graph) -> Graph:
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzOutcome:
-    outcome = FuzzOutcome(trials_run=config.trials)
+    violations: list[FuzzViolation] = []
+    tight_hits: dict[str, int] = {}
     seed, span = config.seed, config.max_n - 1
     for trial in range(config.trials):
         n = 2 + _mix(seed, 2 * trial) % span
@@ -207,9 +194,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzOutcome:
         for e in report.entries:
             margin = e.margin(report.alpha)
             if margin == 0:
-                outcome.tight_hits[e.name] = (
-                    outcome.tight_hits.get(e.name, 0) + 1)
+                tight_hits[e.name] = tight_hits.get(e.name, 0) + 1
             elif margin is not None and margin < 0:
-                outcome.violations.append(
-                    FuzzViolation(config.seed, trial, g, e.name))
-    return outcome
+                violations.append(FuzzViolation(config.seed, trial, g, e.name))
+    return FuzzOutcome(config.trials, violations, tight_hits)

@@ -705,7 +705,8 @@ def test_one_parser_serves_every_command_in_a_process(
 
 def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
     # int() reads the Arabic-Indic digit two; under the C locale without
-    # UTF-8 mode the locale's codec would be ASCII and refuse the file
+    # UTF-8 mode the locale's codec would be ASCII and refuse the file. A
+    # leading byte-order mark is dropped, not read into the header
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items()
            if not key.startswith(("LC_", "LANG", "PYTHON"))}
@@ -714,6 +715,10 @@ def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
     graph.write_bytes("3 1\n0 ٢\n".encode("utf-8"))
     tree = tmp_path / "t.el"
     tree.write_bytes("٢ 1\n0 1\n".encode("utf-8"))
+    marked = tmp_path / "m.el"
+    marked.write_bytes(b"\xef\xbb\xbf3 1\n0 1\n")
+    marked_tree = tmp_path / "mt.el"
+    marked_tree.write_bytes(b"\xef\xbb\xbf2 1\n0 1\n")
     broken = tmp_path / "b.el"
     broken.write_bytes(b"3 1\n0 \xff\n")
 
@@ -723,13 +728,18 @@ def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
              *argv], env=env, capture_output=True, timeout=60)
         return done.returncode, done.stdout, done.stderr
 
+    hkr = ["construct", "hkr", "--k", "3", "--tree"]
     for argv, out in (
             (["matching", str(graph)], b'{"alpha":1,"witness":[[0,2]]}\n'),
-            (["construct", "hkr", "--k", "3", "--tree", str(tree)], None)):
+            (["matching", str(marked)], b'{"alpha":1,"witness":[[0,1]]}\n'),
+            ([*hkr, str(tree)], None),
+            ([*hkr, str(marked_tree)], None)):
         ascii_run = run(0, *argv)
         assert ascii_run == run(1, *argv)
         assert ascii_run[0] == 0 and ascii_run[2] == b""
         assert out is None or ascii_run[1] == out
+    # the marked tree is the tree whose header reads ٢
+    assert run(0, *hkr, str(marked_tree)) == run(0, *hkr, str(tree))
     # a byte no UTF-8 text holds is refused alike in both modes
     ascii_run = run(0, "matching", str(broken))
     assert ascii_run == run(1, "matching", str(broken))

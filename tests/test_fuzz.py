@@ -230,22 +230,24 @@ def test_trials_read_their_order_and_seed_from_the_stream(monkeypatch):
 
 def test_a_trial_sets_up_one_generator(monkeypatch):
     # a construction and a seed call each set up a Mersenne Twister's whole
-    # state (init_by_array), the largest fixed cost of a small trial
+    # state (init_by_array), the largest fixed cost of a small trial. A
+    # construction is counted in __new__: before 3.11 _random.Random seeds
+    # there and inherits object.__init__, which takes no arguments
     set_up = []
 
     class Counting(_random.Random):
-        def __init__(self, *args):
+        def __new__(cls, *args):
             set_up.append(args)
-            super().__init__(*args)
+            return super().__new__(cls, *args)
 
         def seed(self, *args):
             set_up.append(args)
             super().seed(*args)
 
     config = FuzzConfig(k=4, trials=30, max_n=16, seed=12)
-    report = run_fuzz(config).to_json()
+    outcome = run_fuzz(config)
     monkeypatch.setattr(fuzz, "_random", SimpleNamespace(Random=Counting))
-    assert run_fuzz(config).to_json() == report
+    assert run_fuzz(config) == outcome
     assert len(set_up) == 30
 
 
@@ -279,10 +281,13 @@ def test_run_fuzz_allows_regular_components():
     assert out.violations == []
 
 
-def test_outcome_serialization_is_stable():
-    cfg = FuzzConfig(k=4, trials=50, max_n=9, seed=77)
-    first = run_fuzz(cfg).to_json()
-    second = run_fuzz(cfg).to_json()
+def test_outcome_serialization_is_stable(capsys):
+    outputs = []
+    for _ in range(2):
+        assert run_cli(["fuzz", "--k", "4", "--trials", "50", "--max-n", "9",
+                        "--seed", "77"]) == 0
+        outputs.append(capsys.readouterr().out)
+    first, second = outputs
     assert first == second
     payload = json.loads(first)
     assert payload["trials_run"] == 50
@@ -290,13 +295,16 @@ def test_outcome_serialization_is_stable():
     assert all(isinstance(v, int) for v in payload["tight_hits"].values())
 
 
-def test_violations_serialize_with_the_graph():
-    out = FuzzOutcome(trials_run=1)
-    out.violations.append(
-        FuzzViolation(9, 0, build_graph(2, [(0, 1)]), "general"))
-    payload = json.loads(out.to_json())
-    assert payload["violations"][0]["graph"] == "2 1\n0 1\n"
-    assert payload["violations"][0]["bound"] == "general"
+def test_violations_serialize_with_the_graph(monkeypatch, capsys):
+    outcome = FuzzOutcome(
+        1, [FuzzViolation(9, 0, build_graph(2, [(0, 1)]), "general")], {})
+    monkeypatch.setattr("matchbound.cli.run_fuzz", lambda config: outcome)
+    assert run_cli(["fuzz", "--k", "3", "--trials", "1", "--max-n", "2",
+                    "--seed", "9"]) == 1
+    assert capsys.readouterr().out == (
+        '{\n  "tight_hits": {},\n  "trials_run": 1,\n  "violations": [\n'
+        '    {\n      "bound": "general",\n      "graph": "2 1\\n0 1\\n",\n'
+        '      "seed": 9,\n      "trial": 0\n    }\n  ]\n}\n')
 
 
 # SHA-256 of the exit code and stdout of each `fuzz --trials 200` run for
@@ -388,8 +396,12 @@ def test_run_fuzz_reports_a_bound_that_exceeds_alpha(monkeypatch, capsys,
 
     code = run_cli(["fuzz", "--k", "4", "--trials", "3", "--max-n", "12",
                     "--seed", "31"])
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert code == 1
+    # the bytes FuzzOutcome.to_json wrote for this report, kept by the CLI
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cfd789857db8a80f93270e212f32d983ce62045f8515f2a7dad9118c77a045d7")
     assert [(v["trial"], v["bound"], v["graph"])
             for v in payload["violations"]] == [
         (v.trial, "general", emit_edge_list(v.graph)) for v in expected]
