@@ -26,7 +26,8 @@ each one, once per k, to an integer row with
 rows rather than written again: the reference bound of connected k-regular
 graphs, in n alone, is the last connected row at c = 1 and m = kn/2 (for
 even k capped by (n-1)/2), and the subcubic profile bound is the general
-row at k = 3 over the non-isolated vertices.
+row at k = 3 over the non-isolated vertices. The general and density
+rows' (n, m) coefficients are the extreme points of :mod:`matchbound.region`.
 
 A bound is checked by one integer comparison: :func:`evaluate_bounds`
 gives each bound as a :class:`BoundEntry` holding its numerator and scale
@@ -163,9 +164,9 @@ def connected_lower_bounds(n: int, m: int, k: int
 def format_decimal(x: Fraction) -> str:
     """Round-half-even decimal string with five places, rounded once and
     exactly at any magnitude (``round`` of a Fraction ties to even)."""
-    q = abs(round(x * 100000))
-    sign = "-" if x < 0 else ""
-    return f"{sign}{q // 100000}.{q % 100000:05d}"
+    q = round(x * 100000)
+    sign = "-" if q < 0 else ""
+    return f"{sign}{abs(q) // 100000}.{abs(q) % 100000:05d}"
 
 
 class BoundEntry(NamedTuple):
@@ -230,26 +231,21 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
     disconnected = "" if c == 1 else "graph is not connected"
     empty = "" if n >= 1 else "empty graph"
 
-    # tuple.__new__ skips the generated keyword-aware __new__ of BoundEntry,
-    # which takes twice as long on this path
-    new = tuple.__new__
-
-    def entry(row: BoundRow, reason: str) -> BoundEntry:
-        numerator = None if reason else row.numerator(n, m, c, regular)
-        return new(BoundEntry, (row.name, reason, numerator, row.scale))
-
     rows = bound_rows(k)
-    out = [entry(rows.general, has_regular_part or empty)]
-    if rows.density is not None:
-        out.append(entry(rows.density, has_regular_part))
-    out.extend(entry(row, disconnected) for row in rows.connected)
+    pairs = [(rows.general, has_regular_part or empty),
+             (rows.density, has_regular_part),
+             *((row, disconnected) for row in rows.connected)]
+    out = [BoundEntry(row.name, reason,
+                      None if reason else row.numerator(n, m, c, regular),
+                      row.scale)
+           for row, reason in pairs if row is not None]
 
     ref = rows.reference
-    if disconnected or not regular:
-        out.append(entry(ref[0], "graph is not connected and k-regular"))
-    else:
-        least = min(row.numerator(n, m, c, False) for row in ref)
-        out.append(new(BoundEntry, (ref[0].name, "", least, ref[0].scale)))
+    ref_reason = ("graph is not connected and k-regular"
+                  if disconnected or not regular else "")
+    least = (None if ref_reason
+             else min(row.numerator(n, m, c, False) for row in ref))
+    out.append(BoundEntry(ref[0].name, ref_reason, least, ref[0].scale))
 
     cubic_reason = empty or ("maximum degree exceeds 3"
                              if structure.max_degree > 3 else "")
@@ -259,8 +255,8 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
         # with n_d vertices of degree d, 2*n1 + 3*n2 + 4*n3 = (n - n0) + 2*m
         isolated = structure.component_sizes.count(1)
         cubic = cubic_row.numerator(n - isolated, m, c, False)
-    out.append(new(BoundEntry, ("subcubic_profile", cubic_reason, cubic,
-                                cubic_row.scale)))
+    out.append(BoundEntry("subcubic_profile", cubic_reason, cubic,
+                          cubic_row.scale))
     return out
 
 

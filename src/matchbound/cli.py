@@ -198,9 +198,12 @@ def _read_graph(path: str) -> Graph:
 
 
 def _write_files(*outputs: tuple[str, str]) -> None:
-    """Write each (path, text). If a write fails, the files this call has
-    opened are removed before the error is raised, so a failed run leaves
-    none of its output files behind."""
+    """Write each (path, text); paths naming one file are refused first. If
+    a write fails, the files this call has opened are removed before the
+    error is raised, so a failed run leaves none of its output files behind."""
+    if len({os.path.realpath(path) for path, _ in outputs}) < len(outputs):
+        raise ValueError("two outputs name one file: "
+                         + ", ".join(clip_field(path) for path, _ in outputs))
     opened: list[str] = []
     try:
         for path, text in outputs:

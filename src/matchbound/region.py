@@ -5,8 +5,8 @@ holds with some constant K over all connected graphs with maximum degree at
 most k. The good set is the intersection of closed half-spaces of the form
 beta <= slope*gamma + intercept: two of them for odd k, three for even k.
 The paper's bounds describe this set completely, so it is read from their
-coefficients in :mod:`matchbound.bounds`: each cap passes through one of
-its extreme points, the bounds' own coefficient pairs.
+integer rows, :func:`matchbound.bounds.bound_rows`: each cap passes through
+one of its extreme points, the general and density rows' coefficient pairs.
 
 Coordinates are exact rationals throughout; a point is a (gamma, beta)
 tuple of Fractions.
@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from matchbound.bounds import density_coefficients, general_coefficients
+from matchbound.bounds import bound_rows
 
 Point = tuple[Fraction, Fraction]
 
@@ -61,17 +61,15 @@ def half_spaces(k: int) -> list[HalfSpace]:
 
 
 def extreme_points(k: int) -> list[Point]:
-    """The general pair (a, b), where the tree cap (m = n - 1) ends; for even
-    k also the density pair as (-a, b), where the k-regular cap (m = k*n/2)
-    ends. Larger gamma first.
+    """The (n, m) coefficients of the general row, where the tree cap
+    (m = n - 1) ends, and for even k of the density row, (-a, b), where the
+    k-regular cap (m = k*n/2) ends, each over its scale. Larger gamma first.
     """
     if k < 3:
         raise ValueError(f"extreme_points needs k >= 3, got {k}")
-    cs = general_coefficients(k)
-    if k % 2:
-        return [(cs.a, cs.b)]
-    ds = density_coefficients(k)
-    return [(cs.a, cs.b), (-ds.a, ds.b)]
+    rows = bound_rows(k)
+    return [(Fraction(r.n_coeff, r.scale), Fraction(r.m_coeff, r.scale))
+            for r in (rows.general, rows.density) if r is not None]
 
 
 def classify_pair(k: int, p: Point) -> bool:

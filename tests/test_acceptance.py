@@ -13,7 +13,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 from matchbound.bounds import audit_graph, bound_rows, format_decimal
-from matchbound.families import (bipartite_tree, block_chain, canonical_tree,
+from matchbound.families import (bipartite_tree, block_chain,
                                  regular_gadget_ring, tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, random_connected_bounded, run_fuzz
 from matchbound.graphs import (build_graph, components, degree_profile,
@@ -22,11 +22,8 @@ from matchbound.matching import maximum_matching, tutte_berge, verify_matching
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces)
 
-from graph_helpers import circulant, complete
-
-
-def envelope(k, gamma):
-    return min(h.slope * gamma + h.intercept for h in half_spaces(k))
+from graph_helpers import (SHEARS, circulant, complete, envelope, mix,
+                           odd_regular, odd_trees)
 
 
 def test_matching_agrees_with_exhaustive_oracle_on_5000_graphs():
@@ -298,19 +295,6 @@ def test_gadget_chain_average_degree_limits():
             previous = value
 
 
-# goodness-preserving moves of a coefficient pair p = (a, b), eps >= 0
-SHEARS = {
-    "shift_down": lambda k, a, b, eps: (a, b - eps),
-    "tree_shear": lambda k, a, b, eps: (a + eps, b - eps),
-    "regular_shear": lambda k, a, b, eps: (a - eps * k, b + 2 * eps),
-}
-
-
-def mix(p, q, t):
-    """t*p + (1 - t)*q for 0 <= t <= 1."""
-    return t * p[0] + (1 - t) * q[0], t * p[1] + (1 - t) * q[1]
-
-
 def test_region_is_convex_and_closed_under_the_transforms():
     for k in (3, 4, 5, 6):
         rng = random.Random(k * 7919)
@@ -347,15 +331,6 @@ BOUNDARY_PROBES = {
     3: ((F(1, 4), None), (F(1, 9), F(2, 9)), (F(-1, 20), None)),
     4: ((F(1, 8), None), (F(-9, 440), F(13, 55)), (F(-1, 8), None)),
 }
-
-
-def odd_trees(k, size):
-    return tree_with_gadgets(k, canonical_tree(k, size, "tree"))
-
-
-def odd_regular(k, size):
-    return tree_with_gadgets(
-        k, canonical_tree(k, (k - 1) * size + 1, "regular"))
 
 
 def even_trees(k, size):

@@ -180,6 +180,10 @@ def test_format_decimal_half_even():
     assert format_decimal(F(-1, 11)) == "-0.09091"
     assert format_decimal(F(1, 200000)) == "0.00000"  # ties to even
     assert format_decimal(F(3, 200000)) == "0.00002"
+    # a value that rounds to zero has no sign
+    assert format_decimal(F(-1, 200000)) == "0.00000"
+    assert format_decimal(F(-1, 300000)) == "0.00000"
+    assert format_decimal(F(-3, 200000)) == "-0.00002"
     # rounded once and exactly, at any magnitude: just below a tie rounds down
     assert format_decimal(F(15, 10**6) - F(1, 10**40)) == "0.00001"
     assert format_decimal(F(-10**26)) == "-100000000000000000000000000.00000"

@@ -363,6 +363,17 @@ def test_region_leaves_no_file_when_a_later_write_fails(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_region_refuses_two_outputs_that_name_one_file(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for other in ("same.out", "./same.out", str(tmp_path / "same.out")):
+        code, out, err = invoke(capsys, "region", "--k", "4",
+                                "--polygon", "same.out", "--svg", other)
+        assert (code, out) == (2, ""), other
+        assert err.startswith("error: two outputs name one file: "), other
+        assert list(tmp_path.iterdir()) == [], other
+
+
 def test_construct_leaves_no_file_when_the_sidecar_fails(tmp_path, capsys):
     out_path = tmp_path / "x.el"
     (tmp_path / "x.el.json").mkdir()

@@ -1,42 +1,28 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from matchbound.cli import DEFAULT_BBOX, run_cli
-from matchbound.families import (block_chain, canonical_tree,
-                                 regular_gadget_ring, tree_with_gadgets)
+from matchbound.bounds import (bound_rows, density_coefficients,
+                               general_coefficients)
+from matchbound.families import block_chain, regular_gadget_ring
 from matchbound.matching import maximum_matching
 from matchbound.region import (classify_pair, classify_pair_geometric,
                                extreme_points, half_spaces, polygon_svg,
                                region_polygon)
 
+from graph_helpers import SHEARS, envelope, mix, odd_regular, odd_trees
+
 BBOX = DEFAULT_BBOX
-
-
-def envelope(k, gamma):
-    """Largest beta that is still good at this gamma."""
-    return min(h.slope * gamma + h.intercept for h in half_spaces(k))
 
 
 def caps_through(k, p):
     """Indices into half_spaces(k) of the caps whose boundary holds p."""
     assert classify_pair_geometric(k, p)
     return [i for i, h in enumerate(half_spaces(k)) if h.on_boundary(p)]
-
-
-# goodness-preserving moves of a coefficient pair p = (a, b), eps >= 0
-SHEARS = {
-    "shift_down": lambda k, a, b, eps: (a, b - eps),
-    "tree_shear": lambda k, a, b, eps: (a + eps, b - eps),
-    "regular_shear": lambda k, a, b, eps: (a - eps * k, b + 2 * eps),
-}
-
-
-def mix(p, q, t):
-    """t*p + (1 - t)*q for 0 <= t <= 1."""
-    return t * p[0] + (1 - t) * q[0], t * p[1] + (1 - t) * q[1]
 
 
 def test_half_space_counts_and_slopes():
@@ -57,6 +43,38 @@ def test_extreme_points_exact():
     assert extreme_points(3) == [(F(1, 9), F(2, 9))]
     assert extreme_points(4) == [(F(1, 20), F(1, 5)), (F(-1, 11), F(3, 11))]
     assert extreme_points(5) == [(F(2, 55), F(9, 55))]
+    # the independent route: the pairs the coefficient functions state
+    for k in range(3, 61):
+        cs = general_coefficients(k)
+        expected = [(cs.a, cs.b)]
+        if k % 2 == 0:
+            ds = density_coefficients(k)
+            expected.append((-ds.a, ds.b))
+        assert extreme_points(k) == expected, k
+
+
+def test_region_reads_only_the_cached_bound_rows(monkeypatch):
+    # once bound_rows(k) is warm, the region never converts the
+    # coefficient pairs again
+    for k in range(3, 9):
+        bound_rows(k)
+
+    def refuse(k):
+        raise AssertionError("coefficients converted again")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "matchbound":
+            continue
+        for attr in ("general_coefficients", "density_coefficients"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    for k in range(3, 9):
+        points = extreme_points(k)
+        assert len(points) == (1 if k % 2 else 2)
+        assert len(half_spaces(k)) == len(points) + 1
+        for p in (*points, (F(0), F(0)), (F(1, 3), F(1, 3))):
+            assert classify_pair(k, p) == classify_pair_geometric(k, p)
+        assert region_polygon(k, BBOX)
 
 
 def test_extreme_points_lie_on_their_caps():
@@ -130,15 +148,6 @@ def test_witness_kinds_odd_k():
     assert caps_through(3, (a, b)) == [0, 1]
     assert caps_through(3, (a, b - F(1, 50))) == []
     assert not classify_pair_geometric(3, (a, b + F(1, 50)))
-
-
-def odd_trees(k, size):
-    return tree_with_gadgets(k, canonical_tree(k, size, "tree"))
-
-
-def odd_regular(k, size):
-    return tree_with_gadgets(
-        k, canonical_tree(k, (k - 1) * size + 1, "regular"))
 
 
 def test_witnesses_meet_their_bound_with_constant_slack():
