@@ -8,11 +8,12 @@ There are two coefficient families for graphs of maximum degree at most k:
   hypothesis (k*b - a = 1), stronger on dense graphs.
 
 For connected graphs the additive constants improve. Every bound assumes
-maximum degree at most k, so a graph is k-regular exactly when 2m = kn,
-and regularity is read from that identity rather than passed in.
+maximum degree at most k, so a graph is k-regular exactly when 2m = kn.
 
 On a k-regular graph each bound is capped at floor(n/2), which bounds
-alpha' for every graph. This one rule gives the paper's exceptional
+alpha' for every graph: each row carries its k, and
+:meth:`BoundRow.numerator` reads regularity from that identity rather
+than from its caller. This one rule gives the paper's exceptional
 constants: for even k the cap binds exactly at the odd n below
 (k+2)(k-1)/(k-2) for ``connected_even`` and below (k^2+k+2)/(k-2) for
 ``connected_even_density`` (k = 4: n = 5, 7 and n = 5, 7, 9), and it
@@ -80,30 +81,32 @@ class BoundRow(NamedTuple):
     """One bound at one k, scaled to integers by its least denominator.
 
     ``scale * bound = n_coeff*n + m_coeff*m - c_coeff*c - const``, capped
-    at ``scale * (n // 2)`` on a k-regular graph: the paper's exceptional
-    orders are those where the cap binds (see the module docstring).
+    at ``scale * (n // 2)`` when 2m = kn (a k-regular graph): the paper's
+    exceptional orders are those where the cap binds (module docstring).
     """
     name: str
+    k: int
     scale: int
     n_coeff: int
     m_coeff: int
     c_coeff: int
     const: int
 
-    def numerator(self, n: int, m: int, c: int, regular: bool) -> int:
+    def numerator(self, n: int, m: int, c: int) -> int:
         value = (self.n_coeff * n + self.m_coeff * m - self.c_coeff * c
                  - self.const)
-        return min(value, self.scale * (n // 2)) if regular else value
+        return (min(value, self.scale * (n // 2)) if 2 * m == self.k * n
+                else value)
 
 
-def _row(name: str, n_coeff: Fraction, m_coeff: Fraction,
+def _row(name: str, k: int, n_coeff: Fraction, m_coeff: Fraction,
          c_coeff: Fraction = Fraction(0),
          const: Fraction = Fraction(0)) -> BoundRow:
     """Scale the rational bound ``n_coeff*n + m_coeff*m - c_coeff*c - const``
-    by the least common denominator of its coefficients."""
+    at k by the least common denominator of its coefficients."""
     values = (n_coeff, m_coeff, c_coeff, const)
     scale = lcm(*(Fraction(v).denominator for v in values))
-    return BoundRow(name, scale, *(int(v * scale) for v in values))
+    return BoundRow(name, k, scale, *(int(v * scale) for v in values))
 
 
 class BoundRows(NamedTuple):
@@ -121,29 +124,28 @@ def bound_rows(k: int) -> BoundRows:
     """The integer rows of every bound at k, read off the two coefficient
     sets once per k; the frozen result is shared."""
     cs = general_coefficients(k)
-    general = _row("general", cs.a, cs.b, c_coeff=cs.a)
+    general = _row("general", k, cs.a, cs.b, c_coeff=cs.a)
     if k % 2:
         density = None
-        connected = (_row("connected_odd", cs.a, cs.b, const=cs.a),)
+        connected = (_row("connected_odd", k, cs.a, cs.b, const=cs.a),)
+        cap = ()
     else:
         ds = density_coefficients(k)
-        density = _row("density", -ds.a, ds.b)
+        density = _row("density", k, -ds.a, ds.b)
         connected = (
-            _row("connected_even", cs.a, cs.b, const=Fraction(1, k * (k + 1))),
-            _row("connected_even_weak", cs.a, cs.b, const=Fraction(1, k)),
-            _row("connected_even_density", -ds.a, ds.b),
+            _row("connected_even", k, cs.a, cs.b, const=cs.a),  # 1/(k(k+1))
+            _row("connected_even_weak", k, cs.a, cs.b, const=Fraction(1, k)),
+            _row("connected_even_density", k, -ds.a, ds.b),
         )
+        # (n-1)/2 on the reference's scale, twice the density row's
+        cap = (BoundRow("regular_reference", k, 2 * density.scale,
+                        density.scale, 0, 0, density.scale),)
     # The regular reference: 2*D*bound of the last connected row (scale D)
-    # at c = 1 and m = k*n/2, uncapped, and for even k the (n-1)/2 cap on
-    # the same scale.
+    # at c = 1 and m = k*n/2, and for even k the (n-1)/2 cap.
     last = connected[-1]
-    scale = 2 * last.scale
-    reference = (BoundRow("regular_reference", scale,
+    reference = (BoundRow("regular_reference", k, 2 * last.scale,
                           2 * last.n_coeff + k * last.m_coeff, 0, 0,
-                          2 * (last.c_coeff + last.const)),)
-    if k % 2 == 0:
-        reference += (BoundRow("regular_reference", scale, last.scale, 0, 0,
-                               last.scale),)
+                          2 * (last.c_coeff + last.const)), *cap)
     return BoundRows(general, density, connected, reference)
 
 
@@ -156,8 +158,7 @@ def connected_lower_bounds(n: int, m: int, k: int
     orders. Odd k yields one bound, even k three (the strong constant, the
     weak constant that the cap never touches, and the density form).
     """
-    regular = 2 * m == n * k
-    return [(row.name, Fraction(row.numerator(n, m, 1, regular), row.scale))
+    return [(row.name, Fraction(row.numerator(n, m, 1), row.scale))
             for row in bound_rows(k).connected]
 
 
@@ -224,39 +225,39 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
     n = g.vertex_count
     m = g.edge_count
     c = structure.component_count
-    regular = 2 * m == n * k
     # why a hypothesis fails; empty when it holds
     has_regular_part = ("k-regular component present"
                         if k in structure.component_degree else "")
     disconnected = "" if c == 1 else "graph is not connected"
     empty = "" if n >= 1 else "empty graph"
+    # a connected graph with a k-regular component is k-regular
+    not_regular = ("" if has_regular_part and not disconnected
+                   else "graph is not connected and k-regular")
+    cubic_reason = empty or ("maximum degree exceeds 3"
+                             if structure.max_degree > 3 else "")
 
     rows = bound_rows(k)
     pairs = [(rows.general, has_regular_part or empty),
              (rows.density, has_regular_part),
              *((row, disconnected) for row in rows.connected)]
     out = [BoundEntry(row.name, reason,
-                      None if reason else row.numerator(n, m, c, regular),
-                      row.scale)
+                      None if reason else row.numerator(n, m, c), row.scale)
            for row, reason in pairs if row is not None]
-
+    # The floor(n/2) cap moves neither entry below: on a k-regular graph
+    # the least reference row is at most connected_odd (odd k), whose cap
+    # never binds, or (n-1)/2 (even k); the k = 3 general row at m = 3n'/2
+    # is (4n' - c)/9, below n'/2.
     ref = rows.reference
-    ref_reason = ("graph is not connected and k-regular"
-                  if disconnected or not regular else "")
-    least = (None if ref_reason
-             else min(row.numerator(n, m, c, False) for row in ref))
-    out.append(BoundEntry(ref[0].name, ref_reason, least, ref[0].scale))
-
-    cubic_reason = empty or ("maximum degree exceeds 3"
-                             if structure.max_degree > 3 else "")
-    cubic = None
-    cubic_row = bound_rows(3).general
-    if not cubic_reason:
-        # with n_d vertices of degree d, 2*n1 + 3*n2 + 4*n3 = (n - n0) + 2*m
-        isolated = structure.component_sizes.count(1)
-        cubic = cubic_row.numerator(n - isolated, m, c, False)
-    out.append(BoundEntry("subcubic_profile", cubic_reason, cubic,
-                          cubic_row.scale))
+    out.append(BoundEntry(ref[0].name, not_regular, None if not_regular else
+                          min(row.numerator(n, m, c) for row in ref),
+                          ref[0].scale))
+    # with n_d vertices of degree d, 2*n1 + 3*n2 + 4*n3 = (n - n0) + 2*m
+    cubic = bound_rows(3).general
+    out.append(BoundEntry(
+        "subcubic_profile", cubic_reason,
+        None if cubic_reason else cubic.numerator(
+            n - structure.component_sizes.count(1), m, c),
+        cubic.scale))
     return out
 
 

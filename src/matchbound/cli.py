@@ -59,7 +59,7 @@ def _merge_tuple_flags(argv: list[str]) -> list[str]:
 
     argparse would otherwise read a value with a leading minus sign as an
     unknown flag; pre-merging keeps both the spaced and `=` spellings
-    working.
+    working. Only these spellings merge, so `region` allows no prefix.
     """
     merged: list[str] = []
     for tok in argv:
@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _construct_output_flags(f)
     f.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("region",
+    p = sub.add_parser("region", allow_abbrev=False,
                        help="the convex set of good (gamma, beta) pairs")
     p.add_argument("--k", type=_int_flag, required=True)
     p.add_argument("--point", metavar="G,B",

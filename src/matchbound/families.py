@@ -32,8 +32,7 @@ from collections import namedtuple
 from itertools import accumulate
 from typing import NamedTuple
 
-from matchbound.graphs import (MAX_EDGES, MAX_VERTICES, Graph, build_graph,
-                               components, degree_profile)
+from matchbound.graphs import MAX_EDGES, MAX_VERTICES, Graph, build_graph
 
 
 class GeneratedGraph(namedtuple("GeneratedGraph", "graph predicted_n "
@@ -154,7 +153,7 @@ def bipartite_tree(graph: Graph, part2=None) -> BipartiteTree:
     """Validate and wrap an explicit tree with its chosen second part, by
     default the vertices at odd distance from vertex 0."""
     n = graph.vertex_count
-    if graph.edge_count != n - 1 or components(graph).component_count != 1:
+    if graph.edge_count != n - 1 or graph.structure.component_count != 1:
         raise ValueError("input graph is not a tree")
     if part2 is None:
         side = [0] + [None] * (n - 1)
@@ -225,7 +224,7 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
     if k < 3 or k % 2 == 0:
         raise ValueError(f"tree_with_gadgets needs odd k >= 3, got {k}")
     base = tree.graph
-    if degree_profile(base).max_degree > k:
+    if base.structure.max_degree > k:
         raise ValueError("tree has a vertex of degree above k")
     n2 = len(tree.part2)
     n1 = base.vertex_count - n2

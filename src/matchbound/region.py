@@ -73,14 +73,12 @@ def extreme_points(k: int) -> list[Point]:
 
 
 def classify_pair(k: int, p: Point) -> bool:
-    """True iff (gamma, beta) is good for k, by piecewise case analysis."""
+    """True iff (gamma, beta) is good for k, by piecewise case analysis:
+    slope -2/k up to P2, the last extreme point, the chord from P2 to P1,
+    the first, then slope -1. For odd k P1 = P2 and the chord is empty."""
     gamma, beta = p
-    if k % 2:
-        ((a_star, b_star),) = extreme_points(k)
-        if gamma <= a_star:
-            return beta <= b_star + Fraction(2, k) * (a_star - gamma)
-        return beta <= b_star + (a_star - gamma)
-    (a1, b1), (a2, b2) = extreme_points(k)
+    points = extreme_points(k)
+    (a1, b1), (a2, b2) = points[0], points[-1]
     if gamma <= a2:
         return beta <= b2 + Fraction(2, k) * (a2 - gamma)
     if gamma > a1:

@@ -74,7 +74,8 @@ def test_lower_bound_general_values():
 
 def test_lower_bound_density_values():
     row = bound_rows(4).density
-    assert F(row.numerator(21, 35, 1, False), row.scale) == F(3 * 35 - 21, 11)
+    # 2m = 70 != 4n = 84: the graph is not 4-regular, so no cap applies
+    assert F(row.numerator(21, 35, 1), row.scale) == F(3 * 35 - 21, 11)
     assert bound_rows(3).density is None  # odd k has no density bound
     with pytest.raises(ValueError):
         density_coefficients(3)
@@ -115,6 +116,10 @@ def test_the_floor_cap_binds_at_exactly_the_exceptional_orders():
     # The cap at floor(n/2) on a k-regular graph replaces the paper's
     # exceptional constants; for even k it binds at the odd n below a
     # threshold per row, and never for odd k or the weak row.
+    def uncapped(row, n, m, c):
+        return (row.n_coeff * n + row.m_coeff * m - row.c_coeff * c
+                - row.const)
+
     for k in range(3, 41):
         thresholds = {}
         if k % 2 == 0:
@@ -122,25 +127,41 @@ def test_the_floor_cap_binds_at_exactly_the_exceptional_orders():
                 "connected_even": F((k + 2) * (k - 1), k - 2),
                 "connected_even_density": F(k * k + k + 2, k - 2)}
         binding = {name: [] for name in thresholds}
+        rows = bound_rows(k)
         for n in range(k + 1, 8 * k):
             if k * n % 2:
                 continue
             m = k * n // 2
-            for row in bound_rows(k).connected:
+            for row in rows.connected:
                 cap = row.scale * (n // 2)
+                value = uncapped(row, n, m, 1)
                 binds = (row.name in thresholds and n % 2 == 1
                          and n < thresholds[row.name])
-                assert (row.numerator(n, m, 1, False) > cap) == binds, (
-                    k, n, row.name)
+                assert (value > cap) == binds, (k, n, row.name)
+                assert row.numerator(n, m, 1) == min(value, cap)
                 if binds:
-                    assert row.numerator(n, m, 1, True) == (
+                    assert row.numerator(n, m, 1) == (
                         row.scale * (n - 1) // 2)
                     binding[row.name].append(n)
+            # the cap never moves the least reference row
+            ref = rows.reference
+            assert (min(row.numerator(n, m, 1) for row in ref)
+                    == min(uncapped(row, n, m, 1) for row in ref)
+                    <= ref[0].scale * (n // 2)), (k, n)
         if k % 2 == 0:
             # the paper's exceptional orders
             assert binding["connected_even"] == [k + 1, k + 3]
             assert binding["connected_even_density"] == (
                 [5, 7, 9] if k == 4 else [k + 1, k + 3])
+    # nor the k = 3 general row (the subcubic profile bound) at m = 3n'/2,
+    # where the n' non-isolated vertices are cubic and the c components
+    # number at most n'/4 cubic ones plus the isolated vertices
+    cubic = bound_rows(3).general
+    for n in range(0, 8 * 40, 2):
+        for c in range(1, n // 4 + 4):
+            value = uncapped(cubic, n, 3 * n // 2, c)
+            assert value < cubic.scale * (n // 2), (n, c)
+            assert cubic.numerator(n, 3 * n // 2, c) == value, (n, c)
 
 
 def test_kregular_reference_bound():

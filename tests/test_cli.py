@@ -398,6 +398,24 @@ def test_region_rejects_bad_points(capsys):
     assert invoke(capsys, "region", "--k", "2", "--point", "0,0")[0] == 2
 
 
+def test_region_refuses_abbreviated_tuple_flags(tmp_path, capsys):
+    # a prefix of --point or --bbox would miss the merge of a value that
+    # starts with a minus sign, so region takes only the full spellings
+    polygon = str(tmp_path / "p.csv")
+    for argv in (["--poin", "-1/11,3/11"], ["--poin", "1/11,3/11"],
+                 ["--bb=-1/4,1/4,-1/2,1/2", "--polygon", polygon],
+                 ["--bb", "-1/4,1/4,-1/2,1/2", "--polygon", polygon]):
+        code, out, err = invoke(capsys, "region", "--k", "4", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments" in err, argv
+    assert not os.path.exists(polygon)
+    for argv in (["--point", "-1/11,3/11"], ["--point=-1/11,3/11"],
+                 ["--polygon", polygon, "--bbox", "-1/4,1/4,-1/2,1/2"],
+                 ["--polygon", polygon, "--bbox=-1/4,1/4,-1/2,1/2"]):
+        code, _, err = invoke(capsys, "region", "--k", "4", *argv)
+        assert (code, err) == (0, ""), argv
+
+
 def test_region_takes_bbox_only_with_an_output(capsys):
     for argv in (["--bbox", "garbage"], ["--point", "0,0", "--bbox", "1,2"],
                  ["--bbox", "-1/4,1/4,-1/2,1/2"]):

@@ -95,12 +95,18 @@ def test_classifiers_agree_on_random_rationals():
 
 
 def test_boundary_points_are_good():
-    # the caps are closed: points exactly on the envelope are good
-    for k in (3, 4, 5, 6):
-        for gamma in (F(-1, 7), F(0), F(1, 50), F(1, 8), F(1, 2)):
+    # the caps are closed: points exactly on the envelope are good; the
+    # piecewise rule switches branch at each extreme point's gamma
+    tiny = F(1, 10 ** 9)
+    for k in range(3, 14):
+        gammas = [F(-1, 7), F(0), F(1, 50), F(1, 8), F(1, 2)]
+        gammas += [a + d for a, _ in extreme_points(k)
+                   for d in (-tiny, 0, tiny)]
+        for gamma in gammas:
             b = envelope(k, gamma)
-            assert classify_pair(k, (gamma, b))
-            assert not classify_pair(k, (gamma, b + F(1, 10 ** 9)))
+            for p, good in (((gamma, b), True), ((gamma, b + tiny), False)):
+                assert classify_pair(k, p) is good, (k, p)
+                assert classify_pair_geometric(k, p) is good, (k, p)
 
 
 def test_transforms_preserve_goodness():
