@@ -21,14 +21,16 @@ import argparse
 from matchbound import __version__
 from matchbound.bounds import (BoundEntry, audit_graph, bound_rows,
                                format_decimal)
-from matchbound.edgelist import emit_edge_list, parse_edge_list, to_dot
+from matchbound.edgelist import (emit_edge_list, parse_edge_list,
+                                 parse_header, to_dot)
 from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
                                  canonical_tree, regular_gadget_ring,
                                  tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, run_fuzz
 from matchbound.graphs import Graph, clip_field
 from matchbound.matching import (DEFAULT_MAX_N, MAX_ORACLE_ORDER,
-                                 maximum_matching, tutte_berge)
+                                 check_oracle_order, maximum_matching,
+                                 tutte_berge)
 
 # Strictly contains the extreme points of every k >= 3 (|gamma| <= 1/9,
 # reached at k = 3; beta in (0, 3/11]), so `region` needs no --bbox.
@@ -192,9 +194,13 @@ def _construct_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _read_graph(path: str) -> Graph:
+    return parse_edge_list(_read_text(path))
+
+
+def _read_text(path: str) -> str:
     # utf-8-sig drops a leading byte-order mark, which Windows tools write
     with open(path, encoding="utf-8-sig") as f:
-        return parse_edge_list(f.read())
+        return f.read()
 
 
 def _write_files(*outputs: tuple[str, str]) -> None:
@@ -225,7 +231,11 @@ def _cmd_matching(args: argparse.Namespace) -> int:
 
 
 def _cmd_tutte_berge(args: argparse.Namespace) -> int:
-    cert = tutte_berge(_read_graph(args.file), max_n=args.max_n)
+    text = _read_text(args.file)
+    # an order the oracle refuses is refused from the header, before a
+    # graph of that order is built
+    check_oracle_order(parse_header(text)[0], args.max_n)
+    cert = tutte_berge(parse_edge_list(text), max_n=args.max_n)
     payload = {"alpha": cert.value, "witness": cert.witness}
     print(json.dumps(payload, separators=(",", ":")))
     return 0

@@ -67,12 +67,17 @@ def _parse_bulk(text: str) -> Graph | None:
     return assemble_graph(n, zip(ids, ids))
 
 
-def _parse_lines(text: str) -> Graph:
-    rows = _rows(text)
+def parse_header(text: str) -> tuple[int, int]:
+    """The n and m of a text's header, checked as the parser checks them,
+    without reading a line past it."""
+    return _header(_rows(text))
+
+
+def _header(rows: Iterator[tuple[int, str]]) -> tuple[int, int]:
+    """Read the header row off rows and return its checked n and m."""
     header = next(rows, None)
     if header is None:
         raise EdgeListError("no header line found")
-
     lineno, body = header
     n, m = _pair(lineno, body, "header must be 'n m'",
                  "header must be two integers")
@@ -84,6 +89,12 @@ def _parse_lines(text: str) -> Graph:
     if m > MAX_EDGES:
         raise EdgeListError(f"line {lineno}: m={clip_field(m)} exceeds the "
                             f"limit of {MAX_EDGES} edges")
+    return n, m
+
+
+def _parse_lines(text: str) -> Graph:
+    rows = _rows(text)
+    n, m = _header(rows)
 
     # each row is parsed as it is read and not kept; a broken promise of
     # the header is reported before the first faulty line

@@ -6,13 +6,15 @@ Two independent routes to the matching number:
   contraction, pruned so that each search touches only what it visits;
   usable at any size.
 * :func:`tutte_berge` — the deficiency formula min over X of
-  (n + |X| - oc(G - X)) / 2, evaluated on every vertex set X at once: bit i
-  of a big-int plane stands for the set X_i, and components are flooded
-  over the adjacency in all sets in parallel, in blocks of 2^BLOCK_BITS
-  sets. Usable only for small graphs, but it reads nothing but the
-  adjacency and shares no code or ideas with the blossom side (nor with
-  the BFS that :func:`graphs.odd_components_after_deletion` counts
-  oc(G - X) by), so it can audit both.
+  (n + |X| - oc(G - X)) / 2, evaluated at once on the empty set and every
+  vertex set X of fewer than n // 2 vertices, the only sets that can beat
+  the empty one: bit i of a big-int plane stands for the set X_i, and
+  components are flooded over the adjacency in all sets in parallel, in
+  blocks over the low BLOCK_BITS vertices. Usable only for small graphs,
+  but it reads nothing but the adjacency and shares no code or ideas with
+  the blossom side (nor with the BFS that
+  :func:`graphs.odd_components_after_deletion` counts oc(G - X) by), so it
+  can audit both.
 
 Both are deterministic for a fixed input encoding.
 """
@@ -203,13 +205,15 @@ def maximum_matching(g: Graph) -> Matching:
     return Matching(edges)
 
 
-# the oracle evaluates its 2^n vertex sets in blocks of 2^BLOCK_BITS, so its
-# planes hold 2^BLOCK_BITS bits and its memory does not grow with n
+# the oracle takes its vertex sets in blocks of at most 2^BLOCK_BITS, so its
+# planes hold at most 2^BLOCK_BITS bits and its memory does not grow with n
 BLOCK_BITS = 18
 # The oracle's max_n unless its caller raises it, and the largest order it
-# takes whatever max_n is. Its time doubles with each vertex: one call on a
-# path or a fuzz sample (k = 3 or 6) took 0.07-0.10 s at n = 22, 1.2-1.6 s
-# at 26, 5.1-6.8 s at 28 and 19-35 s at 30 (2-vCPU Xeon, Python 3.11).
+# takes whatever max_n is. Its time about doubles with each vertex: one call
+# on a path or a fuzz sample (k = 3 or 6) took 0.025-0.034 s at n = 22,
+# 0.45-0.56 s at 26, 1.8-2.3 s at 28 and 9.3-13 s at 30 (2-vCPU Xeon,
+# Python 3.11), against 0.07-0.09 s at 22 and 0.9-1.2 s at 26 when every
+# one of the 2^n sets was evaluated.
 DEFAULT_MAX_N = 22
 MAX_ORACLE_ORDER = 30
 
@@ -223,23 +227,41 @@ class TutteBergeCertificate(NamedTuple):
     witness: tuple[int, ...]
 
 
+def check_oracle_order(n: int, max_n: int) -> None:
+    """Refuse an order of n above max_n or above the oracle order limit."""
+    if n > MAX_ORACLE_ORDER:
+        raise OracleSizeError(
+            f"graph has {n} vertices; exhaustive enumeration is limited to "
+            f"{MAX_ORACLE_ORDER}, the oracle order limit, whatever max_n is")
+    if n > max_n:
+        raise OracleSizeError(
+            f"graph has {n} vertices; exhaustive enumeration is limited to "
+            f"{max_n} (raise max_n to override)")
+
+
 def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
     """Minimize (n + |X| - odd_components(g - X)) / 2 over vertex sets X.
 
     Returns the minimum — which equals the matching number (Berge 1958) —
-    together with the lexicographically least minimizing set. No set is
-    skipped; all are evaluated at once, bit-parallel in big-int planes.
+    together with the lexicographically least minimizing set. Only the sets
+    of at most cap = max(n // 2 - 1, 0) vertices are evaluated, all at once,
+    bit-parallel in big-int planes. The others cannot change the answer:
+    oc(g - X) <= n - |X| gives n + |X| - oc(g - X) >= 2|X|, which is at
+    least n - n % 2 >= n - oc(g) once |X| >= n // 2 (an odd n leaves an odd
+    component): the empty set, which the order puts first, does as well.
 
-    * Blocks. The sets are taken in blocks of 2^BLOCK_BITS: inside a block
-      the low BLOCK_BITS vertices vary and the others are fixed, so memory
-      stays at a few MiB whatever n is. Bit i of a plane stands for the set
-      whose low members are the set bits of i. The least (value, witness)
-      pair is kept across blocks.
+    * Blocks. The sets are taken in blocks: inside a block the low
+      BLOCK_BITS vertices vary and the others are fixed, so memory stays at
+      a few MiB whatever n is. A block with ``len(fixed)`` fixed members
+      holds the sets of at most t = cap - len(fixed) low members, in binary
+      order; one with t < 0 is skipped. The least (value, witness) pair is
+      kept across blocks.
     * Planes. ``member[v]`` marks the sets that contain v; ``rem[v]`` marks
       the sets in which v is outside X and not yet in a flooded component.
-      What depends only on the block size (``member``, the counter's
-      start) is built once per size by :func:`_planes` and shared
-      read-only; all 19 sizes keep 1.6 MB, 0.8 MB of it for 2^18.
+      What depends only on the block's shape (``member``, the counter's
+      start) is built once per shape (low, t) by :func:`_planes` and
+      shared read-only; the 22 shapes of orders 1..22 keep 1.9 MiB, the 31
+      of orders up to MAX_ORACLE_ORDER 5.0 MiB.
     * Singletons. First, each vertex is cleared from ``rem`` in the sets
       where no neighbor remains, and those sets gain one odd component.
     * Rounds. Each round seeds every set at its lowest remaining vertex,
@@ -256,19 +278,16 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
     * Witness. A greedy walk over ``member`` picks the least of them.
     """
     n = g.vertex_count
-    if n > MAX_ORACLE_ORDER:
-        raise OracleSizeError(
-            f"graph has {n} vertices; exhaustive enumeration is limited to "
-            f"{MAX_ORACLE_ORDER}, the oracle order limit, whatever max_n is")
-    if n > max_n:
-        raise OracleSizeError(
-            f"graph has {n} vertices; exhaustive enumeration is limited to "
-            f"{max_n} (raise max_n to override)")
+    check_oracle_order(n, max_n)
     adj = g.adjacency
     low = min(n, BLOCK_BITS)
-    full, member, base = _planes(low)
+    cap = max(n // 2 - 1, 0)
     best: tuple[int, tuple[int, ...]] | None = None
     for high in range(1 << (n - low)):
+        t = cap - high.bit_count()
+        if t < 0:
+            continue
+        full, member, base, ends = _planes(low, t)
         # a list, as for Matching.edges: each block's tuple then goes back
         # to the free list it came from
         fixed = tuple([v for v in range(low, n) if high >> (v - low) & 1])
@@ -327,10 +346,11 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
                 cand = kept
                 top |= 1 << j
         # the survivors agree below u, on the vertices taken into walk; with
-        # no fixed vertex, the one whose index is below 2^u ends there
+        # no fixed vertex, the one among the first ends[u] sets, those inside
+        # range(u), ends there
         walk = []
         for u in range(low):
-            if not fixed and cand & ((1 << (1 << u)) - 1):
+            if not fixed and cand & ((1 << ends[u]) - 1):
                 break
             if kept := cand & member[u]:
                 cand = kept
@@ -342,31 +362,42 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
 
 
 @lru_cache(maxsize=None)
-def _planes(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The planes of a block of 2^low sets that depend on no graph.
+def _planes(low: int, t: int) -> tuple[int, tuple[int, ...], tuple[int, ...],
+                                       tuple[int, ...]]:
+    """The planes of a block that depend on no graph, over the subsets of
+    range(low) with at most t members in binary order: bit i stands for
+    the i-th of them. No larger set can be the answer (see tutte_berge).
 
-    The full plane; ``member[v]``, the sets that contain v; and ``base``,
-    a bit-sliced counter of low - |X ∩ low vertices|, the same in every
-    block. They are shared, so callers copy what they change. The key is
-    at most BLOCK_BITS, so the cache holds at most BLOCK_BITS + 1 entries,
-    1.6 MB in all.
+    The full plane; ``member[v]``, the sets that contain v; ``base``, a
+    bit-sliced counter of low - |X ∩ low vertices|, the same in every
+    block; and ``ends[u]``, the number of sets inside range(u), which come
+    first. They are shared, so callers copy what they change.
     """
-    width = 1 << low
-    full = (1 << width) - 1
-    # bit i of member[v] is bit v of i: one period of 2^v zeros and 2^v
-    # ones, doubled until it spans the plane
-    member = []
-    for v in range(low):
-        plane = ((1 << (1 << v)) - 1) << (1 << v)
-        span = 2 << v
-        while span < width:
-            plane |= plane << span
-            span <<= 1
-        member.append(plane)
+    # sizes[s] and members[s]: the count and member planes of the subsets of
+    # range(j) with at most s members. By Pascal's rule, those of range(j + 1)
+    # are the same sets, then those of at most s - 1 members shifted past
+    # them, each with j added: a run of ones in j's plane. s runs downwards,
+    # so row s - 1 still holds range(j) when row s reads it; a row below
+    # t - (vertices still to add) is never read again.
+    sizes = [1] * (t + 1)
+    members: list[list[int]] = [[] for _ in range(t + 1)]
+    ends = [1]
+    for j in range(low):
+        for s in range(t, max(t - (low - 1 - j), 0) - 1, -1):
+            if s:
+                size, below = sizes[s], sizes[s - 1]
+                members[s] = [a | b << size for a, b in
+                              zip(members[s], members[s - 1])]
+                members[s].append(((1 << below) - 1) << size)
+                sizes[s] = size + below
+            else:
+                members[0].append(0)
+        ends.append(sizes[t])
+    full = (1 << sizes[t]) - 1
     base: list[int] = []
-    for plane in member:
+    for plane in members[t]:
         _count(base, full ^ plane)
-    return full, tuple(member), tuple(base)
+    return full, tuple(members[t]), tuple(base), tuple(ends)
 
 
 def _count(counter: list[int], plane: int) -> None:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,28 @@ def test_tutte_berge_refuses_orders_above_the_oracle_limit(
             assert code == 2 and out == "", (n, max_n)
             assert (f"limited to {MAX_ORACLE_ORDER}, the oracle order limit"
                     in err), (n, max_n)
+
+
+def test_tutte_berge_refuses_an_oversized_order_from_its_header(
+        tmp_path, capsys):
+    # 11 bytes that promise 10^7 vertices: a graph of that order takes
+    # about 700 MB to build, so the header alone must refuse it
+    path = write_graph(tmp_path, "big.el", "10000000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(capsys, "tutte-berge", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"limited to {MAX_ORACLE_ORDER}, the oracle order limit" in err
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    # a malformed header gets the parser's own message
+    for text in ("3 x\n0 1\n", "-1 0\n", "# none\n",
+                 f"{MAX_VERTICES + 1} 0\n"):
+        path = write_graph(tmp_path, "bad.el", text)
+        got = invoke(capsys, "tutte-berge", path)
+        assert got[0] == 2 and got == invoke(capsys, "matching", path), text
 
 
 def test_tutte_berge_at_its_default_max_n_agrees_with_matching(

@@ -283,8 +283,9 @@ def test_oracle_floods_read_few_adjacency_lists():
 
 
 def test_oracle_on_the_large_chain_instance():
-    # the 21-vertex mixed chain: all 2^21 sets are evaluated, in 8 blocks
-    # of 2^18, and the witness comes from the first block
+    # the 21-vertex mixed chain: the sets of at most 21 // 2 - 1 = 9
+    # vertices are evaluated, in 8 blocks, each over the sets of the low 18
+    # vertices that fill it up to 9, and the witness comes from the first
     gg = block_chain(4, 2, "gssgsgs")
     cert = tutte_berge(gg.graph, max_n=22)
     assert cert.value == 8
@@ -397,11 +398,29 @@ def brute_force_tutte_berge(g):
     return best[0] // 2, best[1]
 
 
+def cap_witness_graphs():
+    """Graphs whose least witness has n // 2 - 1 vertices, the most the
+    oracle enumerates: K_{1,3}, K_{1,4}, and at n = 6..10 the complete
+    bipartite graph with parts range(n // 2 - 1) and the rest, and the
+    caterpillar whose spine 0, 1, ... of n // 2 - 1 vertices gives each
+    spine vertex one leaf but the last, which takes the other 3 or 4."""
+    graphs = [build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+              build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])]
+    for n in range(6, 11):
+        x = n // 2 - 1
+        graphs.append(build_graph(n, [(u, v) for u in range(x)
+                                      for v in range(x, n)]))
+        graphs.append(build_graph(n, sorted(
+            [(u, u + 1) for u in range(x - 1)]
+            + [(min(v - x, x - 1), v) for v in range(x, n)])))
+    return graphs
+
+
 def unpruned_enumeration_graphs():
     """Small seeded graphs (connected, disconnected and edgeless) checked
-    against brute_force_tutte_berge."""
+    against brute_force_tutte_berge, and the cap_witness_graphs()."""
     rng = random.Random(28411)
-    graphs = [build_graph(n, []) for n in range(6)]
+    graphs = [build_graph(n, []) for n in range(6)] + cap_witness_graphs()
     for _ in range(150):
         n = rng.randint(0, 10)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -416,6 +435,18 @@ def unpruned_enumeration_graphs():
         b = random_connected_bounded(rng.getrandbits(64), rng.randint(1, 5), 4)
         graphs.append(disjoint(a, b))
     return graphs
+
+
+def test_cap_witness_graphs_need_every_set_the_oracle_enumerates():
+    # the oracle's cap is max(n // 2 - 1, 0) vertices; these graphs reach
+    # it at even and odd n, so a lower cap returns a larger value
+    graphs = cap_witness_graphs()
+    assert {g.vertex_count % 2 for g in graphs} == {0, 1}
+    for g in graphs:
+        value, witness = brute_force_tutte_berge(g)
+        assert len(witness) == g.vertex_count // 2 - 1, (g, witness)
+        assert witness == tuple(range(len(witness)))
+        assert tutte_berge(g) == (value, witness)
 
 
 def test_oracle_agrees_with_an_unpruned_enumeration():
@@ -498,6 +529,27 @@ def test_a_warm_plane_cache_gives_the_certificates_of_a_cold_one(
         assert [tutte_berge(g) for g in graphs] == certs
 
 
+def test_block_planes_follow_the_kept_sets_in_binary_order():
+    # the reference keeps, in binary order, the subsets of range(low) with
+    # at most t members; bit p of a plane stands for the p-th of them
+    for low in range(11):
+        for t in range(low + 1):
+            kept = [i for i in range(1 << low) if i.bit_count() <= t]
+            full, member, base, ends = matching._planes(low, t)
+            assert full == (1 << len(kept)) - 1, (low, t)
+            assert member == tuple(
+                sum(1 << p for p, i in enumerate(kept) if i >> v & 1)
+                for v in range(low)), (low, t)
+            # base is a bit-sliced counter of low - |X|
+            assert [sum((plane >> p & 1) << j
+                        for j, plane in enumerate(base))
+                    for p in range(len(kept))] == [
+                low - i.bit_count() for i in kept], (low, t)
+            # ends[u] counts the kept sets inside range(u), which come first
+            assert ends == tuple(sum(1 for i in kept if i < 1 << u)
+                                 for u in range(low + 1)), (low, t)
+
+
 def test_the_plane_cache_keeps_at_most_2_mib():
     graphs = [random_connected_bounded(n, n, 3) for n in range(1, 23)]
     matching._planes.cache_clear()
@@ -508,8 +560,9 @@ def test_the_plane_cache_keeps_at_most_2_mib():
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # one entry per block size 1..18: orders 19..22 share the last
-    assert matching._planes.cache_info().currsize == 18
+    # one entry per (low, t) block shape: orders 1..18 take one each, and
+    # orders 19..22 add (18, t) for t = 6, 7, 9 and 10 to their (18, 8)
+    assert matching._planes.cache_info().currsize == 22
     assert current <= 2 * 2 ** 20, f"kept {current / 2 ** 20:.2f} MiB"
 
 
