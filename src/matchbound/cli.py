@@ -27,7 +27,7 @@ from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
                                  canonical_tree, regular_gadget_ring,
                                  tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, run_fuzz
-from matchbound.graphs import Graph, clip_field
+from matchbound.graphs import clip_field
 from matchbound.matching import (DEFAULT_MAX_N, MAX_ORACLE_ORDER,
                                  check_oracle_order, maximum_matching,
                                  tutte_berge)
@@ -193,10 +193,6 @@ def _construct_output_flags(p: argparse.ArgumentParser) -> None:
                    help="emit Graphviz text instead of an edge list")
 
 
-def _read_graph(path: str) -> Graph:
-    return parse_edge_list(_read_text(path))
-
-
 def _read_text(path: str) -> str:
     # utf-8-sig drops a leading byte-order mark, which Windows tools write
     with open(path, encoding="utf-8-sig") as f:
@@ -223,7 +219,7 @@ def _write_files(*outputs: tuple[str, str]) -> None:
 
 
 def _cmd_matching(args: argparse.Namespace) -> int:
-    m = maximum_matching(_read_graph(args.file))
+    m = maximum_matching(parse_edge_list(_read_text(args.file)))
     # maximum_matching already lists its edges in lexicographic order
     payload = {"alpha": m.size, "witness": m.edges}
     print(json.dumps(payload, separators=(",", ":")))
@@ -242,7 +238,7 @@ def _cmd_tutte_berge(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    report = audit_graph(_read_graph(args.file), args.k)
+    report = audit_graph(parse_edge_list(_read_text(args.file)), args.k)
     rows = [_audit_row(e, report.alpha) for e in report.entries]
     # the report file is written first, so a failed write prints nothing
     if args.json:
@@ -296,7 +292,7 @@ def _build_family(args: argparse.Namespace) -> GeneratedGraph:
         if args.r is not None or args.mode is not None:
             raise ValueError(
                 "construct hkr takes --tree or --r/--mode, not both")
-        backbone = _read_graph(args.tree)
+        backbone = parse_edge_list(_read_text(args.tree))
         part2 = None
         if args.part2 is not None:
             try:
@@ -314,14 +310,6 @@ def _build_family(args: argparse.Namespace) -> GeneratedGraph:
                                             args.mode or "tree"))
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"not a rational number: {clip_field(text)}") from None
-
-
 def _parse_rationals(text: str, count: int, what: str
                      ) -> tuple[Fraction, ...]:
     parts = text.split(",")
@@ -329,7 +317,14 @@ def _parse_rationals(text: str, count: int, what: str
         raise ValueError(
             f"{what} needs {count} comma-separated rationals, "
             f"got {clip_field(text)}")
-    return tuple(_parse_fraction(p) for p in parts)
+    values = []
+    for part in parts:
+        try:
+            values.append(Fraction(part.strip()))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"not a rational number: {clip_field(part)}") from None
+    return tuple(values)
 
 
 def _cmd_region(args: argparse.Namespace) -> int:

@@ -235,5 +235,5 @@ def is_k_regular(g: Graph, k: int) -> Regularity:
     """Whether every vertex has degree exactly k, overall and per component."""
     if k < 0:
         raise GraphError(f"degree must be non-negative, got {k}")
-    per = tuple(d == k for d in components(g).component_degree)
+    per = tuple(d == k for d in g.structure.component_degree)
     return Regularity(all(per), per)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from matchbound.graphs import Graph
+from matchbound.graphs import Graph, clip_field
 
 
 class Matching(NamedTuple):
@@ -228,7 +228,9 @@ class TutteBergeCertificate(NamedTuple):
 
 
 def check_oracle_order(n: int, max_n: int) -> None:
-    """Refuse an order of n above max_n or above the oracle order limit."""
+    """Refuse max_n < 0, then an n above max_n or the oracle order limit."""
+    if max_n < 0:
+        raise OracleSizeError(f"max_n must be >= 0, got {clip_field(max_n)}")
     if n > MAX_ORACLE_ORDER:
         raise OracleSizeError(
             f"graph has {n} vertices; exhaustive enumeration is limited to "

@@ -54,6 +54,13 @@ def test_tutte_berge_size_guard(tmp_path, capsys):
     assert "exhaustive enumeration" in err
 
 
+def test_tutte_berge_refuses_a_negative_max_n(tmp_path, capsys):
+    path = write_graph(tmp_path, "k2.el", "2 1\n0 1\n")
+    code, out, err = invoke(capsys, "tutte-berge", path, "--max-n", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: max_n must be >= 0, got -5\n"
+
+
 def test_tutte_berge_refuses_orders_above_the_oracle_limit(
         tmp_path, capsys, monkeypatch):
     def refuse(counter, plane):

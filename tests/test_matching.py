@@ -15,8 +15,9 @@ from matchbound.families import (block_chain, canonical_tree,
 from matchbound.fuzz import random_connected_bounded
 from matchbound.graphs import (Graph, build_graph,
                                odd_components_after_deletion)
-from matchbound.matching import (Matching, OracleSizeError, maximum_matching,
-                                 tutte_berge, verify_matching)
+from matchbound.matching import (Matching, OracleSizeError, check_oracle_order,
+                                 maximum_matching, tutte_berge,
+                                 verify_matching)
 
 from closure_matching import closure_maximum_matching
 from graph_helpers import circulant, complete, disjoint, path, petersen
@@ -108,6 +109,18 @@ def test_size_limit():
     with pytest.raises(OracleSizeError):
         tutte_berge(small, max_n=5)
     assert tutte_berge(small, max_n=6).value == 3
+
+
+def test_a_negative_max_n_is_refused_before_the_order():
+    assert tutte_berge(build_graph(0, []), max_n=0).value == 0
+    # a huge value is quoted in part, as clip_field quotes it
+    for max_n, shown in ((-1, "-1"), (-10 ** 50, "-1" + "0" * 38 + "...")):
+        for n in (0, 2, 40):
+            with pytest.raises(OracleSizeError) as info:
+                check_oracle_order(n, max_n)
+            assert str(info.value) == f"max_n must be >= 0, got {shown}"
+    with pytest.raises(OracleSizeError, match="must be >= 0, got -1$"):
+        tutte_berge(path(2), max_n=-1)
 
 
 def test_oracle_agrees_with_blossom_on_random_graphs():
