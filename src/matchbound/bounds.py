@@ -135,7 +135,7 @@ def bound_rows(k: int) -> BoundRows:
         connected = (
             _row("connected_even", k, cs.a, cs.b, const=cs.a),  # 1/(k(k+1))
             _row("connected_even_weak", k, cs.a, cs.b, const=Fraction(1, k)),
-            _row("connected_even_density", k, -ds.a, ds.b),
+            density._replace(name="connected_even_density"),
         )
         # (n-1)/2 on the reference's scale, twice the density row's
         cap = (BoundRow("regular_reference", k, 2 * density.scale,

@@ -109,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser("construct", help="generate an extremal family member")
+    p.set_defaults(handler=_cmd_construct)
     fam = p.add_subparsers(dest="family", required=True)
 
     f = fam.add_parser("gkr", help="chain of blocks joined by connectors")
@@ -119,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'gadgets', 'singles', or a per-block string of "
                         "g/s (or 1/0) letters (default: gadgets)")
     _construct_output_flags(f)
-    f.set_defaults(handler=_cmd_construct)
 
     f = fam.add_parser("hkr", help="tree with gadget copies on one side")
     f.add_argument("--k", type=_int_flag, required=True)
@@ -134,14 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         "side of --tree (default: the bipartition class "
                         "not containing vertex 0)")
     _construct_output_flags(f)
-    f.set_defaults(handler=_cmd_construct)
 
     f = fam.add_parser("fkr", help="k-regular ring of shared gadgets")
     f.add_argument("--k", type=_int_flag, required=True)
     f.add_argument("--r", type=_int_flag, required=True,
                    help="number of hub vertices")
     _construct_output_flags(f)
-    f.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("region", allow_abbrev=False,
                        help="the convex set of good (gamma, beta) pairs")
@@ -320,6 +318,11 @@ def _parse_rationals(text: str, count: int, what: str
     values = []
     for part in parts:
         try:
+            # Fraction computes 10**exponent in full, which takes minutes for
+            # a short part: an exponent past CPython's 4300-digit limit for
+            # integer strings is refused first
+            if abs(int(part.lower().partition("e")[2] or 0)) > 4300:
+                raise ValueError
             values.append(Fraction(part.strip()))
         except (ValueError, ZeroDivisionError):
             raise ValueError(

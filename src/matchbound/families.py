@@ -29,7 +29,7 @@ The families:
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from matchbound.graphs import MAX_EDGES, MAX_VERTICES, Graph, build_graph
@@ -89,6 +89,12 @@ def single_link_gadget(k: int) -> GeneratedGraph:
     return GeneratedGraph(g, n, (k * k + 2 * k - 1) // 2, (k + 1) // 2, (0,))
 
 
+def _copies(gadget, k: int, bases) -> list[tuple[int, int]]:
+    # a gadget of a large k alone may exceed the limits: build it only if used
+    edges = gadget(k).graph.edges() if bases else []
+    return [(b + u, b + v) for b in bases for u, v in edges]
+
+
 def _parse_blocks(blocks: str, length: int) -> tuple[bool, ...]:
     if blocks == "gadgets":
         return (True,) * length
@@ -126,13 +132,11 @@ def block_chain(k: int, r: int, blocks: str = "gadgets") -> GeneratedGraph:
     _check_size(n, m)
     alpha = r + gadget_count * k // 2
 
-    # a gadget of a large k alone may exceed the limits: build it only if used
-    gadget = complete_minus_edge(k).graph.edges() if gadget_count else []
     # block j starts at first[j]; the last entry is the vertex count
     first = list(accumulate((k + 1 if is_gadget else 1 for is_gadget in flags),
                             initial=r))
     bases = [b for b, is_gadget in zip(first, flags) if is_gadget]
-    edges = [(b + u, b + v) for b in bases for u, v in gadget]
+    edges = _copies(complete_minus_edge, k, bases)
     for i in range(r):
         # a gadget shared with connector i-1 gives i its second link vertex
         j = i * (k - 1)
@@ -238,12 +242,8 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
     hosts = [x for x in tree.part2 for _ in range(k - base.degree(x))]
     links = range(base.vertex_count,
                   base.vertex_count + len(hosts) * (k + 2), k + 2)
-    # a gadget of a large k alone may exceed the limits: build it only if used
-    gadget = single_link_gadget(k).graph.edges() if hosts else []
-    edges = base.edges()
-    for x, link in zip(hosts, links):
-        edges.extend((link + u, link + v) for u, v in gadget)
-        edges.append((x, link))
+    edges = _copies(single_link_gadget, k, links)
+    edges += chain(base.edges(), zip(hosts, links))
     g = build_graph(links.stop, edges)
     return GeneratedGraph(g, n, m, alpha, tuple(links))
 
@@ -264,15 +264,13 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
     _check_size(n, m)
     alpha = r + k * k * r // 4
 
-    gadget = complete_minus_edge(k).graph.edges()
     # the gadget at bases[t] joins hubs[t][0] by its first link vertex and
     # hubs[t][1] by its second
     hubs = [(i, (i + 1) % r) for i in range(r)]
     hubs += [(h, h) for h in range(r) for _ in range((k - 2) // 2)]
     bases = range(r, r + len(hubs) * (k + 1), k + 1)
-    edges: list[tuple[int, int]] = []
+    edges = _copies(complete_minus_edge, k, bases)
     for (hub_a, hub_b), base in zip(hubs, bases):
-        edges.extend((base + u, base + v) for u, v in gadget)
         edges += [(hub_a, base), (hub_b, base + 1)]
     g = build_graph(bases.stop, edges)
     return GeneratedGraph(g, n, m, alpha,

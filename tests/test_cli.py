@@ -428,6 +428,30 @@ def test_region_rejects_bad_points(capsys):
     assert invoke(capsys, "region", "--k", "2", "--point", "0,0")[0] == 2
 
 
+def test_region_refuses_a_long_exponent_before_computing_it(tmp_path):
+    # Fraction would compute 10**100000000 in full, for minutes; a
+    # subprocess with a timeout fails such a hang instead of waiting on it
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "matchbound.cli", "region", "--k", "3",
+             *argv], env=env, capture_output=True, text=True, timeout=10)
+        return done.returncode, done.stdout, done.stderr
+
+    polygon = tmp_path / "p.csv"
+    for argv, part in (
+            (["--point", "1e100000000,1"], "1e100000000"),
+            (["--point", "0,1e-100000000"], "1e-100000000"),
+            (["--polygon", str(polygon), "--bbox=-1,1e100000000,-1,1"],
+             "1e100000000")):
+        assert run(*argv) == (2, "", f"error: not a rational number: "
+                                     f"'{part}'\n"), argv
+        assert not polygon.exists(), argv
+    assert run("--point", "1e4300,1")[0] == 0
+
+
 def test_region_refuses_abbreviated_tuple_flags(tmp_path, capsys):
     # a prefix of --point or --bbox would miss the merge of a value that
     # starts with a minus sign, so region takes only the full spellings
