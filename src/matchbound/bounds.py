@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from matchbound.graphs import Graph
+from matchbound.graphs import Graph, clip_field
 from matchbound.matching import maximum_matching
 
 
@@ -61,7 +61,8 @@ def general_coefficients(k: int) -> CoefficientSet:
     b = (2 - k*epsilon)/(2k), so a + b = 1/k always holds.
     """
     if k < 3:
-        raise ValueError(f"general coefficients need k >= 3, got {k}")
+        raise ValueError(
+            f"general coefficients need k >= 3, got {clip_field(k)}")
     if k % 2 == 0:
         eps = Fraction(2, k * (k + 1))
     else:
@@ -72,7 +73,8 @@ def general_coefficients(k: int) -> CoefficientSet:
 def density_coefficients(k: int) -> CoefficientSet:
     """The even-k pair (a, b) of the density bound b*m - a*n (k*b - a = 1)."""
     if k < 2 or k % 2:
-        raise ValueError(f"density coefficients need even k >= 2, got {k}")
+        raise ValueError(f"density coefficients need even k >= 2, "
+                         f"got {clip_field(k)}")
     den = k * k + k + 2
     return CoefficientSet(Fraction(k - 2, den), Fraction(k + 2, den))
 
@@ -217,7 +219,7 @@ def evaluate_bounds(g: Graph, k: int) -> list[BoundEntry]:
     hypotheses: an inapplicable entry has numerator None and a reason.
     """
     if k < 3:
-        raise ValueError(f"audit needs k >= 3, got {k}")
+        raise ValueError(f"audit needs k >= 3, got {clip_field(k)}")
     structure = g.structure
     if structure.max_degree > k:
         raise ValueError(

@@ -27,7 +27,7 @@ from matchbound.families import (GeneratedGraph, bipartite_tree, block_chain,
                                  canonical_tree, regular_gadget_ring,
                                  tree_with_gadgets)
 from matchbound.fuzz import FuzzConfig, run_fuzz
-from matchbound.graphs import clip_field
+from matchbound.graphs import MAX_VERTICES, clip_field
 from matchbound.matching import (DEFAULT_MAX_N, MAX_ORACLE_ORDER,
                                  check_oracle_order, maximum_matching,
                                  tutte_berge)
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit",
                        help="evaluate every applicable lower bound")
     p.add_argument("file")
-    p.add_argument("--k", type=_int_flag, required=True,
+    p.add_argument("--k", type=_k_flag, required=True,
                    help="degree cap the bounds are taken at")
     p.add_argument("--json", metavar="OUT",
                    help="also write the report as JSON to OUT")
@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fam = p.add_subparsers(dest="family", required=True)
 
     f = fam.add_parser("gkr", help="chain of blocks joined by connectors")
-    f.add_argument("--k", type=_int_flag, required=True)
+    f.add_argument("--k", type=_k_flag, required=True)
     f.add_argument("--r", type=_int_flag, required=True,
                    help="number of connector vertices")
     f.add_argument("--blocks", default="gadgets",
@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _construct_output_flags(f)
 
     f = fam.add_parser("hkr", help="tree with gadget copies on one side")
-    f.add_argument("--k", type=_int_flag, required=True)
+    f.add_argument("--k", type=_k_flag, required=True)
     f.add_argument("--mode", choices=("tree", "regular"),
                    help="canonical backbone shape (with --r; default tree)")
     f.add_argument("--r", type=_int_flag,
@@ -136,14 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _construct_output_flags(f)
 
     f = fam.add_parser("fkr", help="k-regular ring of shared gadgets")
-    f.add_argument("--k", type=_int_flag, required=True)
+    f.add_argument("--k", type=_k_flag, required=True)
     f.add_argument("--r", type=_int_flag, required=True,
                    help="number of hub vertices")
     _construct_output_flags(f)
 
     p = sub.add_parser("region", allow_abbrev=False,
                        help="the convex set of good (gamma, beta) pairs")
-    p.add_argument("--k", type=_int_flag, required=True)
+    p.add_argument("--k", type=_k_flag, required=True)
     p.add_argument("--point", metavar="G,B",
                    help="classify one rational pair, e.g. -1/11,3/11")
     p.add_argument("--polygon", metavar="OUT.csv",
@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz",
                        help="random-graph audit sweep; exits 1 on violation")
-    p.add_argument("--k", type=_int_flag, required=True)
+    p.add_argument("--k", type=_k_flag, required=True)
     p.add_argument("--trials", type=_int_flag, required=True)
     p.add_argument("--max-n", type=_int_flag, required=True)
     p.add_argument("--seed", type=_int_flag, required=True)
@@ -181,6 +181,17 @@ def _int_flag(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {clip_field(text)}") from None
+
+
+def _k_flag(text: str) -> int:
+    """``_int_flag`` for ``--k``, refusing a k above MAX_VERTICES: no graph
+    the package reads or builds has a degree as large, and the bounds of a
+    k of thousands of digits would be printed in full."""
+    k = _int_flag(text)
+    if k > MAX_VERTICES:
+        raise argparse.ArgumentTypeError(
+            f"{clip_field(k)} exceeds {MAX_VERTICES}, the vertex limit")
+    return k
 
 
 def _construct_output_flags(p: argparse.ArgumentParser) -> None:

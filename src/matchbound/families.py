@@ -32,7 +32,8 @@ from collections import namedtuple
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-from matchbound.graphs import MAX_EDGES, MAX_VERTICES, Graph, build_graph
+from matchbound.graphs import (MAX_EDGES, MAX_VERTICES, Graph, build_graph,
+                               clip_field)
 
 
 class GeneratedGraph(namedtuple("GeneratedGraph", "graph predicted_n "
@@ -55,15 +56,17 @@ class GeneratedGraph(namedtuple("GeneratedGraph", "graph predicted_n "
 def _check_size(n: int, m: int) -> None:
     """Refuse a member over MAX_VERTICES or MAX_EDGES before it is built."""
     if n > MAX_VERTICES or m > MAX_EDGES:
-        raise ValueError(f"the member would have at least {n} vertices and "
-                         f"{m} edges, above the limit of {MAX_VERTICES} "
-                         f"vertices or {MAX_EDGES} edges")
+        raise ValueError(f"the member would have at least {clip_field(n)} "
+                         f"vertices and {clip_field(m)} edges, above the "
+                         f"limit of {MAX_VERTICES} vertices or {MAX_EDGES} "
+                         "edges")
 
 
 def complete_minus_edge(k: int) -> GeneratedGraph:
     """Complete graph on k+1 vertices minus the edge {0, 1}."""
     if k < 2:
-        raise ValueError(f"complete_minus_edge needs k >= 2, got {k}")
+        raise ValueError(
+            f"complete_minus_edge needs k >= 2, got {clip_field(k)}")
     n = k + 1
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if (u, v) != (0, 1)]
@@ -79,7 +82,8 @@ def single_link_gadget(k: int) -> GeneratedGraph:
     degree k-1, everything else at degree k.
     """
     if k < 3 or k % 2 == 0:
-        raise ValueError(f"single_link_gadget needs odd k >= 3, got {k}")
+        raise ValueError(f"single_link_gadget needs odd k >= 3, "
+                         f"got {clip_field(k)}")
     n = k + 2
     removed = {(0, 1), (0, 2)}
     removed.update((i, i + 1) for i in range(3, n, 2))
@@ -118,9 +122,10 @@ def block_chain(k: int, r: int, blocks: str = "gadgets") -> GeneratedGraph:
     link vertices, every other gadget one.
     """
     if k < 4 or k % 2:
-        raise ValueError(f"block_chain needs even k >= 4, got {k}")
+        raise ValueError(
+            f"block_chain needs even k >= 4, got {clip_field(k)}")
     if r < 1:
-        raise ValueError(f"block_chain needs r >= 1, got {r}")
+        raise ValueError(f"block_chain needs r >= 1, got {clip_field(r)}")
     length = r * (k - 1) + 1
     # every block is at least one vertex and every connector has k edges:
     # refuse a huge r before the block pattern is expanded
@@ -187,9 +192,9 @@ def canonical_tree(k: int, r: int, mode: str) -> BipartiteTree:
     k, which forces r = (k-1)*|part1| + 1; other r are rejected.
     """
     if k < 2:
-        raise ValueError(f"canonical_tree needs k >= 2, got {k}")
+        raise ValueError(f"canonical_tree needs k >= 2, got {clip_field(k)}")
     if r < 1:
-        raise ValueError(f"canonical_tree needs r >= 1, got {r}")
+        raise ValueError(f"canonical_tree needs r >= 1, got {clip_field(r)}")
     if mode not in ("tree", "regular"):
         raise ValueError(f"mode must be 'tree' or 'regular', got {mode!r}")
 
@@ -197,7 +202,7 @@ def canonical_tree(k: int, r: int, mode: str) -> BipartiteTree:
         if (r - 1) % (k - 1) != 0 or r < k:
             raise ValueError(
                 f"no tree has every part-1 vertex of degree {k} with "
-                f"|part2|={r}: counting edges forces |part2| = "
+                f"|part2|={clip_field(r)}: counting edges forces |part2| = "
                 f"(k-1)*|part1| + 1, so r must be 1 mod {k - 1} and >= {k}")
         s = (r - 1) // (k - 1)  # the spine is part 1
     else:
@@ -226,7 +231,8 @@ def tree_with_gadgets(k: int, tree: BipartiteTree) -> GeneratedGraph:
     itself.
     """
     if k < 3 or k % 2 == 0:
-        raise ValueError(f"tree_with_gadgets needs odd k >= 3, got {k}")
+        raise ValueError(
+            f"tree_with_gadgets needs odd k >= 3, got {clip_field(k)}")
     base = tree.graph
     if base.structure.max_degree > k:
         raise ValueError("tree has a vertex of degree above k")
@@ -256,9 +262,11 @@ def regular_gadget_ring(k: int, r: int) -> GeneratedGraph:
     vertices of (k-2)/2 private gadgets to reach degree k.
     """
     if k < 4 or k % 2:
-        raise ValueError(f"regular_gadget_ring needs even k >= 4, got {k}")
+        raise ValueError(f"regular_gadget_ring needs even k >= 4, "
+                         f"got {clip_field(k)}")
     if r < 1:
-        raise ValueError(f"regular_gadget_ring needs r >= 1, got {r}")
+        raise ValueError(
+            f"regular_gadget_ring needs r >= 1, got {clip_field(r)}")
     n = r + (k * r // 2) * (k + 1)
     m = r * k + k * r * (k * k + k - 2) // 4
     _check_size(n, m)

@@ -67,12 +67,13 @@ class FuzzConfig(namedtuple("FuzzConfig", "k trials max_n seed "
     def __new__(cls, *args, **kwargs) -> FuzzConfig:
         self = super().__new__(cls, *args, **kwargs)
         if self.k < 3:
-            raise ValueError(f"k must be >= 3, got {self.k}")
+            raise ValueError(f"k must be >= 3, got {clip_field(self.k)}")
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ValueError(
+                f"trials must be >= 1, got {clip_field(self.trials)}")
         if not 2 <= self.max_n <= MAX_FUZZ_ORDER:
             raise ValueError(f"max_n must be in 2..{MAX_FUZZ_ORDER}, the "
-                             f"fuzz order limit, got {self.max_n}")
+                             f"fuzz order limit, got {clip_field(self.max_n)}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in 0..2**64 - 1, "
                              f"got {clip_field(self.seed)}")
@@ -103,9 +104,9 @@ def random_connected_bounded(g_seed: int, n: int, k: int,
     the result is additionally never k-regular.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {clip_field(n)}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {clip_field(k)}")
     if n > 2 and k < 2:
         raise ValueError(
             f"no connected graph on {n} vertices has maximum degree <= {k}")

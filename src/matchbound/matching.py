@@ -210,10 +210,10 @@ def maximum_matching(g: Graph) -> Matching:
 BLOCK_BITS = 18
 # The oracle's max_n unless its caller raises it, and the largest order it
 # takes whatever max_n is. Its time about doubles with each vertex: one call
-# on a path or a fuzz sample (k = 3 or 6) took 0.025-0.034 s at n = 22,
-# 0.45-0.56 s at 26, 1.8-2.3 s at 28 and 9.3-13 s at 30 (2-vCPU Xeon,
-# Python 3.11), against 0.07-0.09 s at 22 and 0.9-1.2 s at 26 when every
-# one of the 2^n sets was evaluated.
+# on a path or a fuzz sample (k = 3 or 6) took 0.010-0.018 s at n = 22,
+# 0.09-0.15 s at 26, 0.42-0.60 s at 28 and 1.3-2.1 s at 30 (2-vCPU Xeon,
+# Python 3.11), against 0.020-0.024, 0.37-0.47, 1.5-2.9 and 9.4-10.5 s in
+# the same runs when every set below the cap was flooded.
 DEFAULT_MAX_N = 22
 MAX_ORACLE_ORDER = 30
 
@@ -245,27 +245,43 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
     """Minimize (n + |X| - odd_components(g - X)) / 2 over vertex sets X.
 
     Returns the minimum — which equals the matching number (Berge 1958) —
-    together with the lexicographically least minimizing set. Only the sets
-    of at most cap = max(n // 2 - 1, 0) vertices are evaluated, all at once,
-    bit-parallel in big-int planes. The others cannot change the answer:
-    oc(g - X) <= n - |X| gives n + |X| - oc(g - X) >= 2|X|, which is at
-    least n - n % 2 >= n - oc(g) once |X| >= n // 2 (an odd n leaves an odd
-    component): the empty set, which the order puts first, does as well.
+    together with the lexicographically least minimizing set, by two
+    counting arguments that leave the empty set, which the order puts
+    first, as the answer unless a set does strictly better:
+
+    * Cap. Only the sets of at most cap = max(n // 2 - 1, 0) vertices are
+      enumerated. oc(g - X) <= n - |X| gives n + |X| - oc(g - X) >= 2|X|,
+      which is at least n - n % 2 >= n - oc(g) once |X| >= n // 2 (an odd
+      n leaves an odd component).
+    * Singletons. Every value n + |X| - oc(g - X) is even, as oc(g - X) =
+      n - |X| (mod 2), and the empty set's is at most T = n - n % 2, so
+      another set must reach T - 2. With s singletons in g - X, each other
+      odd component has at least 3 vertices, so oc(g - X) <= s +
+      (n - |X| - s) / 3, and the set can reach T - 2 only if 2s >= 4|X| -
+      n + 3(n % 2) + 6. Sets that miss it are dropped before any flood: at
+      n = 10..16, 0.6-4 % of the enumerated sets are flooded (the mean over
+      80 fuzz samples of each order).
+
+    The kept sets are evaluated all at once, bit-parallel in big-int planes.
 
     * Blocks. The sets are taken in blocks: inside a block the low
       BLOCK_BITS vertices vary and the others are fixed, so memory stays at
       a few MiB whatever n is. A block with ``len(fixed)`` fixed members
-      holds the sets of at most t = cap - len(fixed) low members, in binary
-      order; one with t < 0 is skipped. The least (value, witness) pair is
-      kept across blocks.
+      holds the sets of at most t = cap - len(fixed) low members, by size
+      and then in binary order; one with t < 0 is skipped. The least
+      (value, witness) pair is kept across blocks.
     * Planes. ``member[v]`` marks the sets that contain v; ``rem[v]`` marks
       the sets in which v is outside X and not yet in a flooded component.
       What depends only on the block's shape (``member``, the counter's
       start) is built once per shape (low, t) by :func:`_planes` and
-      shared read-only; the 22 shapes of orders 1..22 keep 1.9 MiB, the 31
-      of orders up to MAX_ORACLE_ORDER 5.0 MiB.
+      shared read-only; the 22 shapes of orders 1..22 keep 1.8 MiB, the 31
+      of orders up to MAX_ORACLE_ORDER 4.8 MiB.
     * Singletons. First, each vertex is cleared from ``rem`` in the sets
       where no neighbor remains, and those sets gain one odd component.
+      Then the ``live`` sets that pass the singleton bound are kept, and
+      the others are cleared from ``rem``; a block with none is skipped.
+      The survivors are mostly small sets, which the order puts first, so
+      each flooded plane is only as wide as the highest live set.
     * Rounds. Each round seeds every set at its lowest remaining vertex,
       taking the seeds from a plane of the sets not yet seeded, so no plane
       is complemented. It floods from a FIFO worklist that starts with
@@ -275,9 +291,12 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
       clears them from ``rem``. It ends when no set has a vertex left.
     * Counter. A bit-sliced counter starts at the number of low vertices
       outside X, takes the singletons and each round, so it ends at
-      oc(g - X) minus |X| plus a constant of the block; filtering its
-      planes from the top bit down keeps exactly the minimizing sets.
-    * Witness. A greedy walk over ``member`` picks the least of them.
+      oc(g - X) minus |X| plus a constant of the block; filtering the
+      live sets by its planes from the top bit down keeps exactly the
+      minimizing ones.
+    * Witness. A greedy walk over ``member`` picks the least of them. With
+      no fixed vertex it ends at a survivor that has no member left, which
+      suffix ORs of ``member[v]`` over the survivors show.
     """
     n = g.vertex_count
     check_oracle_order(n, max_n)
@@ -289,7 +308,7 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
         t = cap - high.bit_count()
         if t < 0:
             continue
-        full, member, base, ends = _planes(low, t)
+        full, member, base = _planes(low, t)
         # a list, as for Matching.edges: each block's tuple then goes back
         # to the free list it came from
         fixed = tuple([v for v in range(low, n) if high >> (v - low) & 1])
@@ -307,14 +326,27 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
                 kept = r & nbrs
                 _count(counter, r ^ kept)
                 rem[v] = kept
+        # the counter holds low - |X ∩ low| + s, so total = counter + base
+        # is s + 2 low - 2|X ∩ low|, and the singleton bound 2s >= 4|X| - n
+        # + 3(n % 2) + 6, whose right side is even, reads total >= need
+        total = list(counter)
+        for j, plane in enumerate(base):
+            _count(total, plane, j)
+        need = (4 * (low + len(fixed)) - n + 3 * (n % 2) + 6) // 2
+        live = _at_least(total, need, full)
+        if not fixed:
+            live |= 1  # the empty set, the first of the first block
+        if not live:
+            continue
+        rem = [r & live for r in rem]
         while True:
             comp = []
-            unseen = full
+            unseen = live
             for r in rem:
                 if c := r & unseen:
                     unseen ^= c
                 comp.append(c)
-            if unseen == full:
+            if unseen == live:
                 break
             # flood until the worklist empties; a vertex is queued again only
             # after a neighbor's plane grew, and skipped once it fills rem[v]
@@ -341,18 +373,23 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
                 parity ^= c
                 rem[v] ^= c
             _count(counter, parity)
-        cand = full
+        cand = live
         top = 0
         for j in reversed(range(len(counter))):
             if kept := cand & counter[j]:
                 cand = kept
                 top |= 1 << j
-        # the survivors agree below u, on the vertices taken into walk; with
-        # no fixed vertex, the one among the first ends[u] sets, those inside
-        # range(u), ends there
+        # with no fixed vertex, a survivor with no member in range(u, low)
+        # is the walk's own set, the least of them: the walk ends there;
+        # later[u] marks the survivors that have one
+        later = [0] * (low + 1)
+        if not fixed:
+            for u in reversed(range(low)):
+                later[u] = later[u + 1] | member[u] & cand
+        # the survivors agree below u, on the vertices taken into walk
         walk = []
         for u in range(low):
-            if not fixed and cand & ((1 << ends[u]) - 1):
+            if not fixed and cand & later[u] != cand:
                 break
             if kept := cand & member[u]:
                 cand = kept
@@ -364,50 +401,70 @@ def tutte_berge(g: Graph, max_n: int = DEFAULT_MAX_N) -> TutteBergeCertificate:
 
 
 @lru_cache(maxsize=None)
-def _planes(low: int, t: int) -> tuple[int, tuple[int, ...], tuple[int, ...],
-                                       tuple[int, ...]]:
+def _planes(low: int, t: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The planes of a block that depend on no graph, over the subsets of
-    range(low) with at most t members in binary order: bit i stands for
-    the i-th of them. No larger set can be the answer (see tutte_berge).
+    range(low) with at most t members, by size and then in binary order:
+    bit i stands for the i-th of them. No larger set can be the answer,
+    and the sets that the singleton bound keeps are mostly the small ones,
+    which this order puts first (see tutte_berge).
 
-    The full plane; ``member[v]``, the sets that contain v; ``base``, a
+    The full plane; ``member[v]``, the sets that contain v; and ``base``, a
     bit-sliced counter of low - |X ∩ low vertices|, the same in every
-    block; and ``ends[u]``, the number of sets inside range(u), which come
-    first. They are shared, so callers copy what they change.
+    block. They are shared, so callers copy what they change.
     """
     # sizes[s] and members[s]: the count and member planes of the subsets of
-    # range(j) with at most s members. By Pascal's rule, those of range(j + 1)
-    # are the same sets, then those of at most s - 1 members shifted past
-    # them, each with j added: a run of ones in j's plane. s runs downwards,
-    # so row s - 1 still holds range(j) when row s reads it; a row below
-    # t - (vertices still to add) is never read again.
-    sizes = [1] * (t + 1)
+    # range(j) with exactly s members. By Pascal's rule, those of
+    # range(j + 1) are the same sets, then those of s - 1 members shifted
+    # past them, each with j added: a run of ones in j's plane. s runs
+    # downwards, so row s - 1 still holds range(j) when row s reads it.
+    sizes = [1] + [0] * t
     members: list[list[int]] = [[] for _ in range(t + 1)]
-    ends = [1]
     for j in range(low):
-        for s in range(t, max(t - (low - 1 - j), 0) - 1, -1):
-            if s:
-                size, below = sizes[s], sizes[s - 1]
-                members[s] = [a | b << size for a, b in
-                              zip(members[s], members[s - 1])]
-                members[s].append(((1 << below) - 1) << size)
-                sizes[s] = size + below
-            else:
-                members[0].append(0)
-        ends.append(sizes[t])
-    full = (1 << sizes[t]) - 1
+        for s in range(t, 0, -1):
+            size, below = sizes[s], sizes[s - 1]
+            members[s] = [a | b << size for a, b in
+                          zip(members[s], members[s - 1])]
+            members[s].append(((1 << below) - 1) << size)
+            sizes[s] = size + below
+        members[0].append(0)
+    # the rows side by side, the smallest sets first
+    member = members[0]
+    width = 1
+    for s in range(1, t + 1):
+        member = [a | b << width for a, b in zip(member, members[s])]
+        width += sizes[s]
+    full = (1 << width) - 1
     base: list[int] = []
-    for plane in members[t]:
+    for plane in member:
         _count(base, full ^ plane)
-    return full, tuple(members[t]), tuple(base), tuple(ends)
+    return full, tuple(member), tuple(base)
 
 
-def _count(counter: list[int], plane: int) -> None:
-    """Add a 0/1 plane to a bit-sliced counter (bit planes, lowest first)."""
-    for j, c in enumerate(counter):
+def _count(counter: list[int], plane: int, j: int = 0) -> None:
+    """Add a 0/1 plane times 2**j to a bit-sliced counter (bit planes,
+    lowest first) of at least j planes."""
+    for i in range(j, len(counter)):
         if not plane:
             return
-        counter[j] = c ^ plane
+        c = counter[i]
+        counter[i] = c ^ plane
         plane &= c
     if plane:
         counter.append(plane)
+
+
+def _at_least(counter: list[int], need: int, full: int) -> int:
+    """The plane of the sets whose bit-sliced count is at least need."""
+    if need <= 0:
+        return full
+    if need >> len(counter):
+        return 0
+    # more: the sets already above need on the bits read; same: equal so far
+    more = 0
+    same = full
+    for j in reversed(range(len(counter))):
+        if need >> j & 1:
+            same &= counter[j]
+        else:
+            more |= same & counter[j]
+    return more | same

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from matchbound.bounds import bound_rows
+from matchbound.graphs import clip_field
 
 Point = tuple[Fraction, Fraction]
 
@@ -66,7 +67,7 @@ def extreme_points(k: int) -> list[Point]:
     k-regular cap (m = k*n/2) ends, each over its scale. Larger gamma first.
     """
     if k < 3:
-        raise ValueError(f"extreme_points needs k >= 3, got {k}")
+        raise ValueError(f"extreme_points needs k >= 3, got {clip_field(k)}")
     rows = bound_rows(k)
     return [(Fraction(r.n_coeff, r.scale), Fraction(r.m_coeff, r.scale))
             for r in (rows.general, rows.density) if r is not None]

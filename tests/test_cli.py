@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -606,6 +607,54 @@ def test_a_refused_integer_flag_is_quoted_only_in_part(tmp_path, capsys,
     assert code == 2
     assert err.endswith(f"error: argument {flag}: invalid int value: "
                         "'1.5'\n")
+
+
+LONG = "7" * 3999 + "8"  # an even int of 4000 digits, under int()'s limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "EDGE", "--k", LONG],
+    ["audit", "EDGE", "--k", LONG[:-1]],
+    ["audit", "EDGE", "--k", "-" + LONG],
+    ["region", "--k", LONG],
+    ["region", "--k", "-" + LONG],
+    ["fuzz", "--k", LONG, "--trials", "1", "--max-n", "5", "--seed", "1"],
+    ["fuzz", "--k", "-" + LONG, "--trials", "1", "--max-n", "5",
+     "--seed", "1"],
+    ["fuzz", "--k", "3", "--trials", "-" + LONG, "--max-n", "5",
+     "--seed", "1"],
+    ["fuzz", "--k", "3", "--trials", "1", "--max-n", LONG, "--seed", "1"],
+    ["construct", "gkr", "--k", "-" + LONG, "--r", "1"],
+    ["construct", "gkr", "--k", "4", "--r", LONG],
+    ["construct", "gkr", "--k", "4", "--r", "-" + LONG],
+    ["construct", "fkr", "--k", "-" + LONG, "--r", "1"],
+    ["construct", "fkr", "--k", "4", "--r", LONG],
+    ["construct", "fkr", "--k", "4", "--r", "-" + LONG],
+    ["construct", "hkr", "--k", "-" + LONG, "--r", "1"],
+    ["construct", "hkr", "--k", "3", "--r", LONG],
+    ["construct", "hkr", "--k", "3", "--r", "-" + LONG],
+    ["construct", "hkr", "--k", "3", "--mode", "regular", "--r", LONG],
+    ["construct", "hkr", "--k", LONG, "--tree", "EDGE"],
+])
+def test_a_refused_long_integer_is_quoted_only_in_part(tmp_path, capsys,
+                                                       argv):
+    # a --k above MAX_VERTICES is refused as a flag, and every other value
+    # int() reads but the command refuses is quoted through clip_field
+    edge = write_graph(tmp_path, "edge.el", "2 1\n0 1\n")
+    code, out, err = invoke(capsys, *(edge if a == "EDGE" else a
+                                      for a in argv))
+    assert (code, out) == (2, "")
+    assert "..." in err and len(err) < 500, err
+    assert not re.search(r"\d{41}", err), err
+
+
+def test_a_k_up_to_the_vertex_limit_is_taken(tmp_path, capsys):
+    edge = write_graph(tmp_path, "edge.el", "2 1\n0 1\n")
+    assert invoke(capsys, "audit", edge, "--k", str(MAX_VERTICES))[0] == 0
+    code, _, err = invoke(capsys, "audit", edge, "--k", str(MAX_VERTICES + 1))
+    assert code == 2
+    assert err.endswith(f"error: argument --k: {MAX_VERTICES + 1} exceeds "
+                        f"{MAX_VERTICES}, the vertex limit\n")
 
 
 def test_oversized_header_is_rejected_before_building(

@@ -2,7 +2,7 @@ import hashlib
 import random
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -429,11 +429,34 @@ def cap_witness_graphs():
     return graphs
 
 
+def singleton_bound_graphs():
+    """Graphs whose least witness X = range(a) meets the oracle's singleton
+    bound 2s >= 4|X| - n + 3(n % 2) + 6 with equality, at even and odd n:
+    the hubs range(a), s >= 2 singletons each joined to every hub, and c
+    triangles, the j-th hanging from hub j % a, with s = a - c + n % 2 + 2.
+    Then X leaves s + c odd components, and n + |X| - oc(G - X) is
+    n - n % 2 - 2, the most a set other than the empty one may take."""
+    graphs = []
+    for a, c, odd in product(range(1, 5), range(3), (0, 1)):
+        s = a - c + odd + 2
+        n = a + s + 3 * c
+        if s < 2 or n > 12:
+            continue
+        edges = [(h, a + i) for h in range(a) for i in range(s)]
+        for j in range(c):
+            x = a + s + 3 * j
+            edges += [(j % a, x), (x, x + 1), (x, x + 2), (x + 1, x + 2)]
+        graphs.append(build_graph(n, sorted(edges)))
+    return graphs
+
+
 def unpruned_enumeration_graphs():
     """Small seeded graphs (connected, disconnected and edgeless) checked
-    against brute_force_tutte_berge, and the cap_witness_graphs()."""
+    against brute_force_tutte_berge, the cap_witness_graphs() and the
+    singleton_bound_graphs()."""
     rng = random.Random(28411)
-    graphs = [build_graph(n, []) for n in range(6)] + cap_witness_graphs()
+    graphs = ([build_graph(n, []) for n in range(6)] + cap_witness_graphs()
+              + singleton_bound_graphs())
     for _ in range(150):
         n = rng.randint(0, 10)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -459,6 +482,21 @@ def test_cap_witness_graphs_need_every_set_the_oracle_enumerates():
         value, witness = brute_force_tutte_berge(g)
         assert len(witness) == g.vertex_count // 2 - 1, (g, witness)
         assert witness == tuple(range(len(witness)))
+        assert tutte_berge(g) == (value, witness)
+
+
+def test_singleton_bound_graphs_meet_the_bound_with_equality():
+    # the least witness passes the bound only just, so a bound one singleton
+    # stricter drops it and changes the oracle's answer
+    graphs = singleton_bound_graphs()
+    assert {g.vertex_count % 2 for g in graphs} == {0, 1}
+    for g in graphs:
+        n = g.vertex_count
+        value, witness = brute_force_tutte_berge(g)
+        x = len(witness)
+        assert witness == tuple(range(x)) and 2 * value == n - n % 2 - 2
+        s = sum(1 for v in range(x, n) if set(g.adjacency[v]) <= set(witness))
+        assert 2 * s == 4 * x - n + 3 * (n % 2) + 6, (g, witness)
         assert tutte_berge(g) == (value, witness)
 
 
@@ -543,12 +581,14 @@ def test_a_warm_plane_cache_gives_the_certificates_of_a_cold_one(
 
 
 def test_block_planes_follow_the_kept_sets_in_binary_order():
-    # the reference keeps, in binary order, the subsets of range(low) with
-    # at most t members; bit p of a plane stands for the p-th of them
+    # the reference keeps the subsets of range(low) with at most t members,
+    # by size and then in binary order; bit p of a plane stands for the
+    # p-th of them
     for low in range(11):
         for t in range(low + 1):
-            kept = [i for i in range(1 << low) if i.bit_count() <= t]
-            full, member, base, ends = matching._planes(low, t)
+            kept = sorted((i for i in range(1 << low) if i.bit_count() <= t),
+                          key=lambda i: (i.bit_count(), i))
+            full, member, base = matching._planes(low, t)
             assert full == (1 << len(kept)) - 1, (low, t)
             assert member == tuple(
                 sum(1 << p for p, i in enumerate(kept) if i >> v & 1)
@@ -558,9 +598,6 @@ def test_block_planes_follow_the_kept_sets_in_binary_order():
                         for j, plane in enumerate(base))
                     for p in range(len(kept))] == [
                 low - i.bit_count() for i in kept], (low, t)
-            # ends[u] counts the kept sets inside range(u), which come first
-            assert ends == tuple(sum(1 for i in kept if i < 1 << u)
-                                 for u in range(low + 1)), (low, t)
 
 
 def test_the_plane_cache_keeps_at_most_2_mib():
